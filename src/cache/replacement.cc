@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/logging.h"
 
@@ -37,130 +38,73 @@ std::optional<uint64_t> LruPolicy::PickVictim(double /*incoming_benefit*/) {
 
 void ClockBase::OnInsert(uint64_t handle, double benefit) {
   CHUNKCACHE_DCHECK(map_.find(handle) == map_.end());
-  Slot slot;
+  uint32_t idx = free_;
+  if (idx != kNil) {
+    free_ = slots_[idx].next;
+  } else {
+    CHUNKCACHE_CHECK(slots_.size() < kNil);
+    idx = static_cast<uint32_t>(slots_.size());
+    slots_.emplace_back();
+  }
+  Slot& slot = slots_[idx];
   slot.handle = handle;
   slot.weight = benefit;
-  slot.alive = true;
-  if (arm_ == 0 || arm_ >= ring_.size()) {
-    // Arm at ring start (or unnormalized past the end): appending puts the
-    // new slot at the end of the current sweep, i.e. just behind the arm.
-    map_[handle] = ring_.size();
-    ring_.push_back(slot);
+  slot.benefit = benefit;
+  if (arm_ == kNil) {
+    slot.prev = slot.next = idx;
+    arm_ = idx;
   } else {
-    // Insert just behind the arm so the new entry is always examined last
-    // in the current sweep. A plain push_back would place it mid-sweep
-    // (between the arm's wrap point and the arm), making eviction order
-    // depend on where the arm happened to sit — and on whether Compact()
-    // had reset it — when the insert landed.
-    ring_.insert(ring_.begin() + static_cast<ptrdiff_t>(arm_), slot);
-    for (auto& [h, idx] : map_) {
-      if (idx >= arm_) ++idx;
-    }
-    map_[handle] = arm_;
-    ++arm_;
+    // Link just behind the arm so the new entry is examined last in the
+    // current sweep, wherever the arm happens to sit.
+    Slot& at_arm = slots_[arm_];
+    slot.prev = at_arm.prev;
+    slot.next = arm_;
+    slots_[at_arm.prev].next = idx;
+    at_arm.prev = idx;
   }
-  if (dead_ > map_.size()) Compact();
+  map_.emplace(handle, idx);
+}
+
+void ClockBase::OnAccess(uint64_t handle) {
+  auto it = map_.find(handle);
+  if (it == map_.end()) return;
+  // "The weight is reset to its initial benefit value whenever the chunk is
+  // reaccessed." For plain CLOCK that benefit is the reference bit, 1.
+  Slot& slot = slots_[it->second];
+  slot.weight = slot.benefit;
 }
 
 void ClockBase::OnErase(uint64_t handle) {
   auto it = map_.find(handle);
   if (it == map_.end()) return;
-  ring_[it->second].alive = false;
-  ++dead_;
+  const uint32_t idx = it->second;
   map_.erase(it);
-  if (dead_ > map_.size() + 16) Compact();
-}
-
-void ClockBase::Compact() {
-  std::vector<Slot> fresh;
-  fresh.reserve(map_.size());
-  // Rebuild starting at the arm: the circular sweep order is preserved
-  // exactly (slot k of the new ring is the k-th live slot the arm would
-  // have visited), so compaction can never change which entry a future
-  // sweep reaches first.
-  if (!ring_.empty()) {
-    const size_t start = arm_ % ring_.size();
-    for (size_t i = 0; i < ring_.size(); ++i) {
-      const Slot& s = ring_[(start + i) % ring_.size()];
-      if (s.alive) fresh.push_back(s);
-    }
+  Slot& slot = slots_[idx];
+  if (slot.next == idx) {
+    arm_ = kNil;
+  } else {
+    slots_[slot.prev].next = slot.next;
+    slots_[slot.next].prev = slot.prev;
+    if (arm_ == idx) arm_ = slot.next;
   }
-  ring_ = std::move(fresh);
-  for (size_t i = 0; i < ring_.size(); ++i) map_[ring_[i].handle] = i;
-  arm_ = 0;
-  dead_ = 0;
+  slot.next = free_;
+  free_ = idx;
 }
 
-std::optional<size_t> ClockBase::Advance() {
-  if (map_.empty()) return std::nullopt;
-  while (true) {
-    if (arm_ >= ring_.size()) arm_ = 0;
-    if (ring_[arm_].alive) {
-      const size_t idx = arm_;
-      arm_ = (arm_ + 1) % (ring_.empty() ? 1 : ring_.size());
-      return idx;
-    }
-    ++arm_;
-  }
-}
-
-// ----------------------------------- CLOCK ----------------------------------
-
-void ClockPolicy::OnInsert(uint64_t handle, double /*benefit*/) {
-  ClockBase::OnInsert(handle, /*benefit=*/1.0);  // reference bit set
-}
-
-void ClockPolicy::OnAccess(uint64_t handle) {
-  auto it = map_.find(handle);
-  if (it == map_.end()) return;
-  ring_[it->second].weight = 1.0;
-}
-
-std::optional<uint64_t> ClockPolicy::PickVictim(double /*incoming*/) {
-  // Classic second chance: clear reference bits until an unreferenced
-  // entry comes under the arm. Bounded by live entries so the bound (never
-  // reached in practice) is compaction-invariant.
-  for (size_t steps = 0; steps < 2 * map_.size() + 1; ++steps) {
-    auto idx = Advance();
-    if (!idx) return std::nullopt;
-    Slot& s = ring_[*idx];
-    if (s.weight > 0) {
-      s.weight = 0;
-    } else {
-      return s.handle;
-    }
-  }
-  return std::nullopt;  // unreachable with live entries
-}
-
-// ------------------------------- Benefit CLOCK -------------------------------
-
-void BenefitClockPolicy::OnAccess(uint64_t handle) {
-  auto it = map_.find(handle);
-  if (it == map_.end()) return;
-  // "The weight is reset to its initial benefit value whenever the chunk is
-  // reaccessed."
-  ring_[it->second].weight = benefit_[handle];
-}
-
-std::optional<uint64_t> BenefitClockPolicy::PickVictim(
-    double incoming_benefit) {
-  if (map_.empty()) return std::nullopt;
+std::optional<uint64_t> ClockBase::PickVictim(double incoming_benefit) {
+  if (arm_ == kNil) return std::nullopt;
   if (incoming_benefit <= 0) incoming_benefit = 1.0;
   // Sweep, decrementing weights by the incoming chunk's benefit; an entry
   // whose weight was already exhausted is the victim. The sweep is bounded:
   // if no weight drains within a few cycles (a stream of tiny chunks
   // hitting a cache of expensive ones), evict the minimum-weight entry seen
-  // rather than spinning. The bound counts live entries (Advance() skips
-  // dead slots), so it is invariant under ring compaction — the forced-
-  // compaction determinism test relies on that.
+  // rather than spinning.
   const size_t max_steps = 4 * map_.size() + 4;
   std::optional<uint64_t> min_handle;
   double min_weight = 0;
   for (size_t steps = 0; steps < max_steps; ++steps) {
-    auto idx = Advance();
-    if (!idx) return std::nullopt;
-    Slot& s = ring_[*idx];
+    Slot& s = slots_[arm_];
+    arm_ = s.next;
     if (s.weight <= 0) return s.handle;
     if (!min_handle || s.weight < min_weight) {
       min_handle = s.handle;
@@ -169,6 +113,19 @@ std::optional<uint64_t> BenefitClockPolicy::PickVictim(
     s.weight -= incoming_benefit;
   }
   return min_handle;
+}
+
+// ----------------------------------- CLOCK ----------------------------------
+
+void ClockPolicy::OnInsert(uint64_t handle, double /*benefit*/) {
+  ClockBase::OnInsert(handle, /*benefit=*/1.0);  // reference bit set
+}
+
+std::optional<uint64_t> ClockPolicy::PickVictim(double /*incoming*/) {
+  // Classic second chance is the benefit sweep over 0/1 weights: a set
+  // reference bit drains to 0 as the arm passes, and an entry found at 0
+  // is the victim (within two laps, so the step bound never binds).
+  return ClockBase::PickVictim(1.0);
 }
 
 // ------------------------------------ ARC -----------------------------------
@@ -270,15 +227,40 @@ void ArcPolicy::EraseGhost(uint64_t key_id) {
 
 // -------------------------------- LFU + aging -------------------------------
 
-double LfuAgingPolicy::Effective(const Entry& e) const {
-  const uint64_t delta = epoch_ - e.epoch;
-  const double freq = delta > 64 ? 0.0 : std::ldexp(e.freq, -static_cast<int>(delta));
-  return weight_by_benefit_ ? freq * e.benefit : freq;
+LfuAgingPolicy::Rank LfuAgingPolicy::RankOf(uint64_t handle, const Entry& e,
+                                            bool aged_out) const {
+  if (aged_out) {
+    return Rank{std::numeric_limits<int64_t>::min(), 0.0, e.seq, handle};
+  }
+  // freq x 2^-(epoch_ - e.epoch) x benefit, scaled by 2^epoch_. Scaling by
+  // a power of two commutes with rounding for normal doubles, so comparing
+  // these ranks compares the aged scores exactly.
+  const double score = weight_by_benefit_ ? e.freq * e.benefit : e.freq;
+  if (std::isinf(score)) {
+    return Rank{std::numeric_limits<int64_t>::max(), score, e.seq, handle};
+  }
+  int exp = 0;
+  const double mant = std::frexp(score, &exp);
+  return Rank{exp + static_cast<int64_t>(e.epoch), mant, e.seq, handle};
+}
+
+void LfuAgingPolicy::Unindex(uint64_t handle, const Entry& e) {
+  ranked_.erase(RankOf(handle, e, epoch_ - e.epoch > kMaxAge));
+  by_epoch_.erase({e.epoch, handle});
 }
 
 void LfuAgingPolicy::Tick() {
   ++ops_;
-  if (ops_ % age_period_ == 0) ++epoch_;
+  if (ops_ % age_period_ != 0) return;
+  ++epoch_;
+  // Re-rank the entries this tick ages past the clamp.
+  while (!by_epoch_.empty() && epoch_ - by_epoch_.begin()->first > kMaxAge) {
+    const uint64_t handle = by_epoch_.begin()->second;
+    const Entry& e = map_.at(handle);
+    ranked_.erase(RankOf(handle, e, false));
+    ranked_.insert(RankOf(handle, e, true));
+    by_epoch_.erase(by_epoch_.begin());
+  }
 }
 
 void LfuAgingPolicy::OnInsert(uint64_t handle, double benefit) {
@@ -290,6 +272,8 @@ void LfuAgingPolicy::OnInsert(uint64_t handle, double benefit) {
   e.benefit = benefit > 0 ? benefit : 1.0;
   e.seq = seq_++;
   map_[handle] = e;
+  ranked_.insert(RankOf(handle, e, false));
+  by_epoch_.emplace(e.epoch, handle);
 }
 
 void LfuAgingPolicy::OnAccess(uint64_t handle) {
@@ -297,31 +281,27 @@ void LfuAgingPolicy::OnAccess(uint64_t handle) {
   if (it == map_.end()) return;
   Tick();
   Entry& e = it->second;
+  Unindex(handle, e);
   // Rebase the lazily-aged count to the current epoch, then bump it.
   const uint64_t delta = epoch_ - e.epoch;
-  e.freq = (delta > 64 ? 0.0 : std::ldexp(e.freq, -static_cast<int>(delta))) + 1.0;
+  e.freq = (delta > kMaxAge ? 0.0
+                            : std::ldexp(e.freq, -static_cast<int>(delta))) +
+           1.0;
   e.epoch = epoch_;
+  ranked_.insert(RankOf(handle, e, false));
+  by_epoch_.emplace(e.epoch, handle);
 }
 
-void LfuAgingPolicy::OnErase(uint64_t handle) { map_.erase(handle); }
+void LfuAgingPolicy::OnErase(uint64_t handle) {
+  auto it = map_.find(handle);
+  if (it == map_.end()) return;
+  Unindex(handle, it->second);
+  map_.erase(it);
+}
 
 std::optional<uint64_t> LfuAgingPolicy::PickVictim(double /*incoming*/) {
-  if (map_.empty()) return std::nullopt;
-  // O(n) min scan; ties break on the oldest insertion sequence so the
-  // victim is independent of hash-map iteration order.
-  const Entry* best = nullptr;
-  uint64_t best_handle = 0;
-  double best_score = 0;
-  for (const auto& [handle, e] : map_) {
-    const double score = Effective(e);
-    if (!best || score < best_score ||
-        (score == best_score && e.seq < best->seq)) {
-      best = &e;
-      best_handle = handle;
-      best_score = score;
-    }
-  }
-  return best_handle;
+  if (ranked_.empty()) return std::nullopt;
+  return ranked_.begin()->handle;
 }
 
 // ----------------------------------- SLRU -----------------------------------

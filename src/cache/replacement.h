@@ -5,8 +5,10 @@
 #include <list>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace chunkcache::cache {
@@ -75,49 +77,48 @@ class LruPolicy final : public ReplacementPolicy {
   std::unordered_map<uint64_t, std::list<uint64_t>::iterator> map_;
 };
 
-/// Shared machinery for the two CLOCK variants: a ring of slots with a
-/// sweeping arm; erased entries leave tombstones that are compacted when
-/// they outnumber live entries.
+/// Shared machinery for the two CLOCK variants: a circular doubly linked
+/// ring of slots with a sweeping arm. Slots live in an arena and link by
+/// index; an erased slot goes on a free list and is reused by the next
+/// insert, and the handle -> slot map never changes for a live entry.
+/// Insert, access, erase and each arm step are O(1).
 ///
 /// Determinism: a new entry always enters the ring *just behind* the arm,
-/// so it is examined last in the current sweep — regardless of where the
-/// arm sits or whether tombstone compaction has renumbered the ring.
-/// Compact() rebuilds the ring starting at the arm, which preserves the
-/// circular sweep order exactly; eviction order is therefore identical
-/// with and without compaction (regression-tested).
+/// so it is examined last in the current sweep, regardless of where the
+/// arm sits. Erasing the slot under the arm moves the arm to the next
+/// slot, so the sweep order of the remaining entries never changes.
 class ClockBase : public ReplacementPolicy {
  public:
+  /// Sets the entry's weight to `benefit` and remembers it for re-access.
   void OnInsert(uint64_t handle, double benefit) override;
+  /// Resets the entry's weight to its insert-time benefit.
+  void OnAccess(uint64_t handle) override;
   void OnErase(uint64_t handle) override;
+  /// The paper's benefit sweep: the arm drains each weight by
+  /// `incoming_benefit` and evicts the first entry found already drained.
+  std::optional<uint64_t> PickVictim(double incoming_benefit) override;
   size_t size() const override { return map_.size(); }
 
-  /// Forces tombstone compaction now. Exposed so tests can assert that
-  /// compaction never changes the eviction order; harmless otherwise.
-  void ForceCompact() { Compact(); }
-
- protected:
+ private:
+  static constexpr uint32_t kNil = UINT32_MAX;
   struct Slot {
     uint64_t handle = 0;
-    double weight = 0;  // reference bit (0/1) for plain CLOCK
-    bool alive = false;
+    double weight = 0;   // reference bit (0/1) for plain CLOCK
+    double benefit = 0;  // insert-time weight, restored on re-access
+    uint32_t prev = kNil;
+    uint32_t next = kNil;  // next free slot while on the free list
   };
 
-  void Compact();
-  /// Advances the arm to the next live slot; returns its index or nullopt
-  /// when the ring has no live slots.
-  std::optional<size_t> Advance();
-
-  std::vector<Slot> ring_;
-  std::unordered_map<uint64_t, size_t> map_;  // handle -> ring index
-  size_t arm_ = 0;
-  size_t dead_ = 0;
+  std::vector<Slot> slots_;                     // arena, indexed by slot
+  std::unordered_map<uint64_t, uint32_t> map_;  // handle -> slot
+  uint32_t arm_ = kNil;
+  uint32_t free_ = kNil;  // head of the free-slot list
 };
 
 /// Plain CLOCK (second chance): weight is a 0/1 reference bit.
 class ClockPolicy final : public ClockBase {
  public:
   void OnInsert(uint64_t handle, double benefit) override;
-  void OnAccess(uint64_t handle) override;
   std::optional<uint64_t> PickVictim(double incoming_benefit) override;
   std::string name() const override { return "clock"; }
 };
@@ -125,23 +126,7 @@ class ClockPolicy final : public ClockBase {
 /// The paper's benefit-weighted CLOCK (Section 5.4).
 class BenefitClockPolicy final : public ClockBase {
  public:
-  void OnAccess(uint64_t handle) override;
-  std::optional<uint64_t> PickVictim(double incoming_benefit) override;
   std::string name() const override { return "benefit-clock"; }
-
- private:
-  // Remembers each entry's initial benefit so re-access can reset weight.
-  std::unordered_map<uint64_t, double> benefit_;
-
- public:
-  void OnInsert(uint64_t handle, double benefit) override {
-    ClockBase::OnInsert(handle, benefit);
-    benefit_[handle] = benefit;
-  }
-  void OnErase(uint64_t handle) override {
-    ClockBase::OnErase(handle);
-    benefit_.erase(handle);
-  }
 };
 
 /// ARC: live T1 (seen once) / T2 (seen twice+) lists plus ghost B1/B2 key
@@ -190,11 +175,17 @@ class ArcPolicy final : public ReplacementPolicy {
 /// `age_period` policy events, so stale popularity decays instead of
 /// pinning dead entries forever (the classic LFU failure mode). Aging is
 /// lazy — each entry stores the epoch of its last touch and its count is
-/// scaled by 2^-(age) on read. With `weight_by_benefit`, the eviction
-/// score is frequency x benefit, so cheap-to-recompute entries go first
-/// among equally popular ones. Victim selection scans live entries
-/// (O(n)); ties break on insertion sequence, so the choice is fully
-/// deterministic for a given operation trace.
+/// scaled by 2^-(age) on read, reading 0 after 64 untouched epochs. With
+/// `weight_by_benefit`, the eviction score is frequency x benefit, so
+/// cheap-to-recompute entries go first among equally popular ones. Ties
+/// break on insertion sequence, so the choice is fully deterministic for a
+/// given operation trace.
+///
+/// Victims come from one ordered index, not a scan. It ranks an entry by
+/// score x 2^epoch_ = freq x benefit x 2^(touch epoch), which aging does
+/// not reorder, held as an exact (exponent, mantissa) pair; the choice
+/// equals a min-scan's whenever freq x benefit is a normal double. An
+/// epoch tick re-ranks the entries it ages past the clamp to score 0.
 class LfuAgingPolicy final : public ReplacementPolicy {
  public:
   explicit LfuAgingPolicy(bool weight_by_benefit, uint32_t age_period = 512)
@@ -210,18 +201,37 @@ class LfuAgingPolicy final : public ReplacementPolicy {
   size_t size() const override { return map_.size(); }
 
  private:
+  static constexpr uint64_t kMaxAge = 64;  // older entries score 0
+
   struct Entry {
     double freq = 0;      // count as of `epoch`
     uint64_t epoch = 0;   // last touch epoch
     double benefit = 1;
     uint64_t seq = 0;     // insertion sequence, deterministic tie-break
   };
-  double Effective(const Entry& e) const;
+  // Score x 2^epoch_ as mant x 2^exp, mant in [0.5, 1); +inf sorts last
+  // and score 0 (aged out) first.
+  struct Rank {
+    int64_t exp = 0;
+    double mant = 0;
+    uint64_t seq = 0;
+    uint64_t handle = 0;
+    bool operator<(const Rank& o) const {
+      if (exp != o.exp) return exp < o.exp;
+      if (mant != o.mant) return mant < o.mant;
+      return seq < o.seq;
+    }
+  };
+  Rank RankOf(uint64_t handle, const Entry& e, bool aged_out) const;
+  void Unindex(uint64_t handle, const Entry& e);
   void Tick();
 
   const bool weight_by_benefit_;
   const uint32_t age_period_;
   std::unordered_map<uint64_t, Entry> map_;
+  std::set<Rank> ranked_;
+  // (touch epoch, handle) of entries not yet aged out.
+  std::set<std::pair<uint64_t, uint64_t>> by_epoch_;
   uint64_t epoch_ = 0;
   uint64_t ops_ = 0;
   uint64_t seq_ = 0;

@@ -1,15 +1,20 @@
 // Model-based randomized testing of the replacement policies: each policy
 // is driven with a random insert/access/erase/evict trace and checked
 // against policy-specific invariants (LRU against an exact reference
-// implementation; the CLOCK variants against structural guarantees that
-// must hold for any correct implementation).
+// implementation; the CLOCK variants against a pinned victim-sequence
+// hash; LFU-aging against a min-scan reference; every policy against
+// structural guarantees and a per-op cost bound that is flat in size).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <cmath>
 #include <list>
 #include <set>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "cache/replacement.h"
 #include "common/random.h"
@@ -89,6 +94,15 @@ TEST(ReplacementModelTest, LruMatchesReferenceExactly) {
   }
 }
 
+// gtest parameter names may not contain '-'.
+std::string PolicyTestName(const ::testing::TestParamInfo<std::string>& i) {
+  std::string n = i.param;
+  for (char& c : n) {
+    if (c == '-') c = '_';
+  }
+  return n;
+}
+
 // Structural invariants every policy must satisfy under random traces:
 // victims are live entries; size bookkeeping is exact; a policy never
 // "loses" entries (every live entry is eventually evictable).
@@ -139,13 +153,7 @@ TEST_P(AnyPolicyModelTest, VictimsAreAlwaysLiveAndSizeIsExact) {
 
 INSTANTIATE_TEST_SUITE_P(Policies, AnyPolicyModelTest,
                          ::testing::ValuesIn(KnownPolicyNames()),
-                         [](const ::testing::TestParamInfo<std::string>& i) {
-                           std::string n = i.param;
-                           for (char& c : n) {
-                             if (c == '-') c = '_';
-                           }
-                           return n;
-                         });
+                         PolicyTestName);
 
 // Keyed variant of the same fuzz: drives OnInsertKeyed with a small,
 // recurring key universe so ghost-listed policies (ARC, 2Q) exercise
@@ -191,13 +199,7 @@ TEST_P(KeyedPolicyModelTest, KeyedReinsertionKeepsInvariants) {
 
 INSTANTIATE_TEST_SUITE_P(Policies, KeyedPolicyModelTest,
                          ::testing::ValuesIn(KnownPolicyNames()),
-                         [](const ::testing::TestParamInfo<std::string>& i) {
-                           std::string n = i.param;
-                           for (char& c : n) {
-                             if (c == '-') c = '_';
-                           }
-                           return n;
-                         });
+                         PolicyTestName);
 
 TEST(MakePolicyTest, KnownNamesConstructAndUnknownIsRejected) {
   for (const std::string& name : KnownPolicyNames()) {
@@ -208,68 +210,303 @@ TEST(MakePolicyTest, KnownNamesConstructAndUnknownIsRejected) {
   EXPECT_EQ(MakePolicy("LRU"), nullptr);  // names are case-sensitive
 }
 
-// Satellite regression: forcing ring compaction at arbitrary points must
-// not change a CLOCK policy's eviction decisions. Two identical instances
-// are driven by the same trace; one is compacted aggressively, and every
-// victim choice must still agree.
-class ClockCompactionTest : public ::testing::TestWithParam<std::string> {};
+// Live handles with O(1) add, remove and indexed pick (removal moves the
+// last handle into the hole), so traces can hit or drop a random entry.
+class LiveHandles {
+ public:
+  void Add(uint64_t h) {
+    index_[h] = handles_.size();
+    handles_.push_back(h);
+  }
+  void Remove(uint64_t h) {
+    const size_t i = index_.at(h);
+    handles_[i] = handles_.back();
+    index_[handles_[i]] = i;
+    handles_.pop_back();
+    index_.erase(h);
+  }
+  uint64_t operator[](size_t i) const { return handles_[i]; }
+  size_t size() const { return handles_.size(); }
+  bool empty() const { return handles_.empty(); }
 
-TEST_P(ClockCompactionTest, CompactionPreservesEvictionOrder) {
-  for (uint64_t seed : {11, 22, 33}) {
-    auto plain = MakePolicy(GetParam());
-    auto compacted = MakePolicy(GetParam());
-    auto* compacted_clock = dynamic_cast<ClockBase*>(compacted.get());
-    ASSERT_NE(compacted_clock, nullptr);
+ private:
+  std::vector<uint64_t> handles_;
+  std::unordered_map<uint64_t, size_t> index_;  // handle -> position
+};
+
+// Golden eviction order for the CLOCK family. Each seed drives a cache-
+// shaped trace (admissions that evict down to a per-seed capacity, hits,
+// drops and explicit evictions, with varied benefits) and folds every
+// victim into an FNV-1a hash. The pinned values were computed on the
+// original vector-ring implementation, so any change to where a new slot
+// enters the ring, how the arm steps, or how weights drain shows up here.
+struct VictimTrace {
+  uint64_t hash = 0xcbf29ce484222325ULL;  // FNV-1a offset basis
+  uint64_t victims = 0;
+
+  void Add(uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      hash ^= (v >> (8 * i)) & 0xff;
+      hash *= 0x100000001b3ULL;
+    }
+    ++victims;
+  }
+};
+
+VictimTrace RunGoldenTrace(const std::string& name) {
+  VictimTrace trace;
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    auto policy = MakePolicy(name);
     Random rng(seed);
-    std::set<uint64_t> live;
-    uint64_t next = 0;
-    for (int step = 0; step < 8000; ++step) {
-      const double roll = rng.NextDouble();
-      if (roll < 0.4 || live.empty()) {
-        const double benefit = 1.0 + rng.NextDouble() * 50;
-        plain->OnInsert(next, benefit);
-        compacted->OnInsert(next, benefit);
-        live.insert(next);
-        ++next;
-      } else if (roll < 0.55) {
-        auto it = live.begin();
-        std::advance(it, rng.Uniform(live.size()));
-        plain->OnAccess(*it);
-        compacted->OnAccess(*it);
-      } else if (roll < 0.7) {
-        auto it = live.begin();
-        std::advance(it, rng.Uniform(live.size()));
-        plain->OnErase(*it);
-        compacted->OnErase(*it);
-        live.erase(it);
-      } else {
-        const double incoming = 1.0 + rng.NextDouble() * 10;
-        const auto a = plain->PickVictim(incoming);
-        const auto b = compacted->PickVictim(incoming);
-        ASSERT_EQ(a.has_value(), b.has_value()) << "step " << step;
-        if (a) {
-          ASSERT_EQ(*a, *b) << "seed " << seed << " step " << step;
-          plain->OnErase(*a);
-          compacted->OnErase(*b);
-          live.erase(*a);
-        }
+    const size_t cap = 8 + rng.Uniform(600);
+    LiveHandles live;
+    auto drop = [&](uint64_t h) {
+      live.Remove(h);
+      policy->OnErase(h);
+    };
+    auto evict = [&](double incoming) {
+      const auto v = policy->PickVictim(incoming);
+      if (!v) {
+        trace.Add(~0ULL);
+        return;
       }
-      if (step % 97 == 0) compacted_clock->ForceCompact();
-      ASSERT_EQ(plain->size(), compacted->size());
+      trace.Add(*v);
+      drop(*v);
+    };
+    uint64_t next = 0;
+    for (int step = 0; step < 12000; ++step) {
+      const double roll = rng.NextDouble();
+      if (roll < 0.5 || live.empty()) {
+        const double benefit = 0.5 + rng.NextDouble() * 60;
+        while (live.size() >= cap) evict(benefit);
+        policy->OnInsert(next, benefit);
+        live.Add(next++);
+      } else if (roll < 0.8) {
+        policy->OnAccess(live[rng.Uniform(live.size())]);
+      } else if (roll < 0.9) {
+        drop(live[rng.Uniform(live.size())]);
+      } else {
+        evict(1.0 + rng.NextDouble() * 10);
+      }
     }
   }
+  return trace;
 }
 
-INSTANTIATE_TEST_SUITE_P(Clocks, ClockCompactionTest,
-                         ::testing::Values(std::string("clock"),
-                                           std::string("benefit-clock")),
-                         [](const ::testing::TestParamInfo<std::string>& i) {
-                           std::string n = i.param;
-                           for (char& c : n) {
-                             if (c == '-') c = '_';
-                           }
-                           return n;
-                         });
+TEST(ClockGoldenOrderTest, VictimSequenceMatchesPinnedHash) {
+  const VictimTrace clock = RunGoldenTrace("clock");
+  EXPECT_EQ(clock.victims, 90276u);
+  EXPECT_EQ(clock.hash, 0xd623e3910f07e23bULL);
+  const VictimTrace benefit = RunGoldenTrace("benefit-clock");
+  EXPECT_EQ(benefit.victims, 90276u);
+  EXPECT_EQ(benefit.hash, 0xbfad9cb117e7e181ULL);
+}
+
+// The LFU-aging victim choice as a plain O(n) min scan: the policy's
+// original implementation, kept as the reference its ordered indexes must
+// reproduce bit for bit.
+class ReferenceLfuAging {
+ public:
+  ReferenceLfuAging(bool weight_by_benefit, uint32_t age_period)
+      : weight_by_benefit_(weight_by_benefit), age_period_(age_period) {}
+
+  void Insert(uint64_t handle, double benefit) {
+    Tick();
+    Entry e;
+    e.freq = 1.0;
+    e.epoch = epoch_;
+    e.benefit = benefit > 0 ? benefit : 1.0;
+    e.seq = seq_++;
+    map_[handle] = e;
+  }
+  void Access(uint64_t handle) {
+    auto it = map_.find(handle);
+    if (it == map_.end()) return;
+    Tick();
+    Entry& e = it->second;
+    const uint64_t delta = epoch_ - e.epoch;
+    e.freq =
+        (delta > 64 ? 0.0 : std::ldexp(e.freq, -static_cast<int>(delta))) +
+        1.0;
+    e.epoch = epoch_;
+  }
+  void Erase(uint64_t handle) { map_.erase(handle); }
+  // True when `handle` has aged past the clamp and scores 0.
+  bool Stale(uint64_t handle) const {
+    return epoch_ - map_.at(handle).epoch > 64;
+  }
+  std::optional<uint64_t> Victim() const {
+    const Entry* best = nullptr;
+    uint64_t best_handle = 0;
+    double best_score = 0;
+    for (const auto& [handle, e] : map_) {
+      const double score = Effective(e);
+      if (!best || score < best_score ||
+          (score == best_score && e.seq < best->seq)) {
+        best = &e;
+        best_handle = handle;
+        best_score = score;
+      }
+    }
+    if (!best) return std::nullopt;
+    return best_handle;
+  }
+
+ private:
+  struct Entry {
+    double freq = 0;
+    uint64_t epoch = 0;
+    double benefit = 1;
+    uint64_t seq = 0;
+  };
+  double Effective(const Entry& e) const {
+    const uint64_t delta = epoch_ - e.epoch;
+    const double freq =
+        delta > 64 ? 0.0 : std::ldexp(e.freq, -static_cast<int>(delta));
+    return weight_by_benefit_ ? freq * e.benefit : freq;
+  }
+  void Tick() {
+    ++ops_;
+    if (ops_ % age_period_ == 0) ++epoch_;
+  }
+
+  const bool weight_by_benefit_;
+  const uint32_t age_period_;
+  std::unordered_map<uint64_t, Entry> map_;
+  uint64_t epoch_ = 0;
+  uint64_t ops_ = 0;
+  uint64_t seq_ = 0;
+};
+
+// Differential test of LfuAgingPolicy against the min scan. Short age
+// periods push entries across the 64-epoch clamp within a trace; skewed
+// accesses keep a hot set young while the rest ages out; benefits span
+// nine decades and repeat exactly, so scores tie and seq breaks the ties.
+TEST(ReplacementModelTest, LfuAgingMatchesMinScanAcrossTheAgeClamp) {
+  size_t stale_victims = 0;
+  size_t victims = 0;
+  for (const bool weighted : {false, true}) {
+    for (const uint32_t period : {1u, 2u, 7u}) {
+      for (uint64_t seed = 1; seed <= 6; ++seed) {
+        LfuAgingPolicy policy(weighted, period);
+        ReferenceLfuAging reference(weighted, period);
+        Random rng(seed * 1000 + period);
+        const size_t cap = 16 + rng.Uniform(300);
+        LiveHandles live;
+        auto drop = [&](uint64_t h) {
+          live.Remove(h);
+          policy.OnErase(h);
+          reference.Erase(h);
+        };
+        auto evict = [&](int step) {
+          const auto got = policy.PickVictim(1.0);
+          const auto want = reference.Victim();
+          ASSERT_EQ(got.has_value(), want.has_value()) << "step " << step;
+          if (!got) return;
+          ASSERT_EQ(*got, *want) << "weighted " << weighted << " period "
+                                 << period << " seed " << seed << " step "
+                                 << step;
+          ++victims;
+          if (reference.Stale(*got)) ++stale_victims;
+          drop(*got);
+        };
+        uint64_t next = 0;
+        for (int step = 0; step < 6000; ++step) {
+          const double roll = rng.NextDouble();
+          if (roll < 0.45 || live.empty()) {
+            const double benefit =
+                rng.Bernoulli(0.3)
+                    ? 4.0
+                    : std::pow(10.0, -3.0 + 9.0 * rng.NextDouble());
+            while (live.size() >= cap) {
+              evict(step);
+              if (HasFatalFailure()) return;
+            }
+            policy.OnInsert(next, benefit);
+            reference.Insert(next, benefit);
+            live.Add(next++);
+          } else if (roll < 0.85) {
+            // Most hits land on the first few live slots: a hot set that
+            // stays young while everything else ages toward the clamp.
+            const size_t span = rng.Bernoulli(0.8)
+                                    ? std::min<size_t>(8, live.size())
+                                    : live.size();
+            const uint64_t h = live[rng.Uniform(span)];
+            policy.OnAccess(h);
+            reference.Access(h);
+          } else if (roll < 0.92) {
+            drop(live[rng.Uniform(live.size())]);
+          } else {
+            evict(step);
+            if (HasFatalFailure()) return;
+          }
+          ASSERT_EQ(policy.size(), live.size());
+        }
+      }
+    }
+  }
+  // Both victim sources must be exercised: aged-out entries (score 0) and
+  // ranked ones.
+  EXPECT_GT(stale_victims, 1000u);
+  EXPECT_GT(victims - stale_victims, 1000u);
+}
+
+// Complexity guard: the steady-state cost of one cache turnover (pick a
+// victim, erase it, insert a new entry, hit a live one) must not grow with
+// the number of live entries. An O(n) step anywhere on that path makes the
+// 64k-entry run ~64x slower per op than the 1k-entry run and fails the
+// bound; O(1) and O(log n) bookkeeping stay well inside it (cache misses on
+// the larger tables account for most of the ratio that remains).
+constexpr double kMaxCostRatio = 8.0;
+
+// Best-of-3-windows nanoseconds per turnover with `live_entries`
+// resident. The policy first turns over a quarter of its entries so the
+// timed windows see its steady state, not the fill.
+double NsPerTurnover(const std::string& name, size_t live_entries) {
+  constexpr int kOps = 20000;
+  auto policy = MakePolicy(name);
+  Random rng(7);
+  LiveHandles live;
+  uint64_t next = 0;
+  auto insert = [&] {
+    policy->OnInsertKeyed(next, next, 1.0 + rng.NextDouble() * 100);
+    live.Add(next++);
+  };
+  auto turnover = [&] {
+    const auto victim = policy->PickVictim(1.0 + rng.NextDouble() * 10);
+    live.Remove(*victim);
+    policy->OnErase(*victim);
+    insert();
+    policy->OnAccess(live[rng.Uniform(live.size())]);
+  };
+  while (live.size() < live_entries) insert();
+  for (size_t i = 0; i < live_entries / 4; ++i) turnover();
+  double best = 1e300;
+  for (int window = 0; window < 3; ++window) {
+    const auto start = std::chrono::steady_clock::now();
+    for (int i = 0; i < kOps; ++i) turnover();
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    best = std::min(
+        best, std::chrono::duration<double, std::nano>(elapsed).count() / kOps);
+  }
+  EXPECT_EQ(policy->size(), live_entries) << name;
+  return best;
+}
+
+class ReplacementComplexityTest
+    : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(ReplacementComplexityTest, PerOpCostIsFlatFrom1kTo64kEntries) {
+  const double small = NsPerTurnover(GetParam(), 1 << 10);
+  const double large = NsPerTurnover(GetParam(), 1 << 16);
+  EXPECT_LE(large / small, kMaxCostRatio)
+      << GetParam() << ": " << small << " ns/op at 1k entries, " << large
+      << " ns/op at 64k";
+}
+
+INSTANTIATE_TEST_SUITE_P(Policies, ReplacementComplexityTest,
+                         ::testing::ValuesIn(KnownPolicyNames()),
+                         PolicyTestName);
 
 // Behavioral check: under a scan-like trace (insert many once-used
 // entries), benefit-clock retains high-benefit entries far longer than
