@@ -29,6 +29,18 @@ std::vector<RowRun> CoalesceRowRuns(std::vector<RowRun> runs,
   return merged;
 }
 
+Result<std::vector<RowRun>> LookupCoalescedRuns(
+    index::BTree& chunk_index, const std::vector<uint64_t>& chunk_nums,
+    uint64_t max_rows) {
+  std::vector<RowRun> runs;
+  runs.reserve(chunk_nums.size());
+  CHUNKCACHE_RETURN_IF_ERROR(chunk_index.GetSorted(
+      chunk_nums, [&runs](uint64_t, const index::BTreePayload& p) {
+        runs.push_back(RowRun{p.v1, p.v2, 1});
+      }));
+  return CoalesceRowRuns(std::move(runs), max_rows);
+}
+
 Result<ChunkedFile> ChunkedFile::BulkLoad(storage::BufferPool* pool,
                                           const chunks::ChunkingScheme* scheme,
                                           std::vector<Tuple> tuples,
@@ -92,17 +104,7 @@ Result<std::vector<RowRun>> ChunkedFile::CoalescedRuns(
     return Status::Unsupported("CoalescedRuns on an unclustered file");
   }
   CHUNKCACHE_FAULT_POINT(FaultSite::kFactScan);
-  std::vector<RowRun> runs;
-  runs.reserve(chunk_nums.size());
-  for (uint64_t chunk_num : chunk_nums) {
-    auto payload = chunk_index_->Get(chunk_num);
-    if (!payload.ok()) {
-      if (payload.status().code() == StatusCode::kNotFound) continue;
-      return payload.status();
-    }
-    runs.push_back(RowRun{payload->v1, payload->v2, 1});
-  }
-  return CoalesceRowRuns(std::move(runs), max_rows);
+  return LookupCoalescedRuns(*chunk_index_, chunk_nums, max_rows);
 }
 
 Status ChunkedFile::ScanChunk(

@@ -32,6 +32,13 @@ struct RowRun {
 std::vector<RowRun> CoalesceRowRuns(std::vector<RowRun> runs,
                                     uint64_t max_rows = 0);
 
+/// Looks up the runs of the ascending `chunk_nums` in `chunk_index` (one
+/// B-tree descent per leaf touched; empty chunks are skipped) and
+/// coalesces them with CoalesceRowRuns.
+Result<std::vector<RowRun>> LookupCoalescedRuns(
+    index::BTree& chunk_index, const std::vector<uint64_t>& chunk_nums,
+    uint64_t max_rows);
+
 /// The paper's chunked file organization (Section 4): fact tuples stored as
 /// ordinary fixed-length records but *clustered by base-level chunk number*,
 /// with a B-tree chunk index mapping chunk number -> {first RowId, tuple
@@ -74,9 +81,9 @@ class ChunkedFile {
   Status ScanChunk(uint64_t chunk_num,
                    const std::function<bool(const storage::Tuple&)>& fn);
 
-  /// Looks up the runs of every chunk in `chunk_nums` (empty chunks are
-  /// skipped) and coalesces adjacent ones into maximal sequential reads of
-  /// at most `max_rows` rows each (0 = unlimited).
+  /// Looks up the runs of every chunk in the ascending `chunk_nums` (empty
+  /// chunks are skipped) and coalesces adjacent ones into maximal
+  /// sequential reads of at most `max_rows` rows each (0 = unlimited).
   Result<std::vector<RowRun>> CoalescedRuns(
       const std::vector<uint64_t>& chunk_nums, uint64_t max_rows = 0);
 

@@ -28,17 +28,7 @@ Status MaterializedAggregate::ScanChunk(
 
 Result<std::vector<RowRun>> MaterializedAggregate::CoalescedRuns(
     const std::vector<uint64_t>& chunk_nums, uint64_t max_rows) {
-  std::vector<RowRun> runs;
-  runs.reserve(chunk_nums.size());
-  for (uint64_t chunk_num : chunk_nums) {
-    auto payload = chunk_index_.Get(chunk_num);
-    if (!payload.ok()) {
-      if (payload.status().code() == StatusCode::kNotFound) continue;
-      return payload.status();
-    }
-    runs.push_back(RowRun{payload->v1, payload->v2, 1});
-  }
-  return CoalesceRowRuns(std::move(runs), max_rows);
+  return LookupCoalescedRuns(chunk_index_, chunk_nums, max_rows);
 }
 
 BackendEngine::BackendEngine(storage::BufferPool* pool, ChunkedFile* file,

@@ -59,9 +59,9 @@ class MaterializedAggregate {
   Status ScanChunk(uint64_t chunk_num,
                    const std::function<bool(const storage::AggTuple&)>& fn);
 
-  /// Looks up the runs of every chunk in `chunk_nums` (empty chunks are
-  /// skipped) and coalesces adjacent ones into maximal sequential reads of
-  /// at most `max_rows` rows each (0 = unlimited).
+  /// Looks up the runs of every chunk in the ascending `chunk_nums` (empty
+  /// chunks are skipped) and coalesces adjacent ones into maximal
+  /// sequential reads of at most `max_rows` rows each (0 = unlimited).
   Result<std::vector<RowRun>> CoalescedRuns(
       const std::vector<uint64_t>& chunk_nums, uint64_t max_rows = 0);
 

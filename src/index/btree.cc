@@ -252,6 +252,52 @@ Result<BTreePayload> BTree::Get(uint64_t key) {
   }
 }
 
+Status BTree::GetSorted(
+    const std::vector<uint64_t>& keys,
+    const std::function<void(uint64_t, const BTreePayload&)>& fn) {
+  size_t i = 0;
+  while (i < keys.size()) {
+    // Descend for keys[i], narrowing `hi` to the exclusive upper bound of
+    // the leaf's key range: the last separator right of the path taken.
+    uint32_t cur = root_page_;
+    uint64_t hi = 0;
+    bool has_hi = false;
+    for (uint32_t level = 0;; ++level) {
+      CHUNKCACHE_ASSIGN_OR_RETURN(PageGuard node, pool_->Fetch(Pid(cur)));
+      auto* h = Header(node.page());
+      uint64_t* nkeys = Keys(node.page());
+      if (h->is_leaf) {
+        // Every key from keys[i] up to `hi` routes to this leaf. keys[i]
+        // itself is always consumed, so absent keys between leaves cannot
+        // make the loop spin.
+        uint32_t pos = 0;
+        do {
+          if (i > 0 && keys[i] < keys[i - 1]) {
+            return Status::InvalidArgument("GetSorted: keys not ascending");
+          }
+          pos = static_cast<uint32_t>(
+              std::lower_bound(nkeys + pos, nkeys + h->count, keys[i]) -
+              nkeys);
+          if (pos < h->count && nkeys[pos] == keys[i]) {
+            fn(keys[i], Payloads(node.page())[pos]);
+          }
+          ++i;
+        } while (i < keys.size() && (!has_hi || keys[i] < hi));
+        break;
+      }
+      const uint32_t idx = static_cast<uint32_t>(
+          std::upper_bound(nkeys, nkeys + h->count, keys[i]) - nkeys);
+      if (idx < h->count) {
+        hi = nkeys[idx];
+        has_hi = true;
+      }
+      cur = Children(node.page())[idx];
+      if (level > height_) return Status::Corruption("BTree: cycle in descent");
+    }
+  }
+  return Status::OK();
+}
+
 Status BTree::FindLeaf(uint64_t key, std::vector<uint32_t>* path,
                        std::vector<uint32_t>* child_idx) {
   path->clear();

@@ -29,9 +29,11 @@ struct BTreePayload {
 /// points to the start of the chunk in the fact file"), and is also usable
 /// as a general key index.
 ///
-/// Supports point insert/get/delete (with node merging), inclusive range
-/// scans via leaf chaining, and bottom-up bulk load from sorted input.
-/// Keys are unique. Not thread-safe.
+/// Supports point insert/get/delete (with node merging), batched lookups of
+/// sorted keys, inclusive range scans via leaf chaining, and bottom-up bulk
+/// load from sorted input. Keys are unique. Lookups and scans may run
+/// concurrently with each other; anything that modifies the tree must be
+/// externally serialized against every other call.
 class BTree {
  public:
   /// Creates a new empty tree in a fresh DiskManager file.
@@ -51,6 +53,14 @@ class BTree {
 
   /// Point lookup; NotFound if absent.
   Result<BTreePayload> Get(uint64_t key);
+
+  /// Looks up every key of the ascending (duplicates allowed) `keys` and
+  /// calls `fn(key, payload)` for each one present, in order; absent keys
+  /// are skipped. Descends once per leaf touched rather than once per key:
+  /// k keys in one leaf cost height() page fetches, not k x height().
+  /// InvalidArgument if `keys` is not ascending.
+  Status GetSorted(const std::vector<uint64_t>& keys,
+                   const std::function<void(uint64_t, const BTreePayload&)>& fn);
 
   /// Removes `key`; NotFound if absent. Underfull nodes are repaired by
   /// borrowing from or merging with a sibling.

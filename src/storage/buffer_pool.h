@@ -79,13 +79,19 @@ struct BufferPoolStats {
 /// All page access in the backend goes through here, so the pool size is the
 /// experiment knob corresponding to the paper's "8 MB buffer pool".
 ///
-/// Thread-safe: one mutex guards the frame table, CLOCK state and pin
-/// counts, so concurrent queries (the parallel miss-chunk pipeline and
-/// multi-client traffic) may fetch pages freely. Page *content* access is
-/// deliberately outside the lock — a pinned page can never be evicted, so
-/// readers holding a PageGuard race with nobody on read-only workloads.
-/// Writers of page content (bulk loads, index builds) must still be
-/// externally serialized, as they always were.
+/// Thread-safe and hash-partitioned: a page lives in the partition picked by
+/// PageIdHash, and each partition owns its own mutex, frame range, page
+/// table, CLOCK hand and stats, so concurrent queries (the parallel
+/// miss-chunk pipeline and multi-client traffic) contend only when their
+/// pages share a partition. The partition count follows from the frame
+/// count: the largest power of two <= 16 that leaves >= 64 frames per
+/// partition, so pools under 128 frames are one partition with one global
+/// CLOCK. Physical I/O runs under the page's partition lock only; different
+/// partitions read and write pages concurrently (see DiskManager's
+/// concurrency contract). Page *content* access is outside every lock — a
+/// pinned page can never be evicted, so readers holding a PageGuard race
+/// with nobody on read-only workloads. Writers of page content (bulk loads,
+/// index builds) must still be externally serialized, as they always were.
 class BufferPool {
  public:
   /// `num_frames` pages of capacity (e.g. 8 MiB / 4 KiB = 2048 frames).
@@ -95,10 +101,11 @@ class BufferPool {
   BufferPool& operator=(const BufferPool&) = delete;
 
   /// Pins the page `id`, reading it from disk on a miss. Fails with
-  /// ResourceExhausted if every frame is pinned.
+  /// ResourceExhausted if every frame of the page's partition is pinned.
   Result<PageGuard> Fetch(PageId id);
 
   /// Allocates a fresh page in `file_id` and pins it (already zeroed).
+  /// Fails with ResourceExhausted like Fetch.
   Result<PageGuard> Allocate(uint32_t file_id);
 
   /// Writes back all dirty pages (pages stay cached).
@@ -108,23 +115,20 @@ class BufferPool {
   /// experiment phases to start cold, mimicking the paper's raw device.
   Status EvictAll();
 
-  BufferPoolStats stats() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return stats_;
-  }
-  void ResetStats() {
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_ = BufferPoolStats();
-  }
-  uint32_t capacity() const { return static_cast<uint32_t>(frames_.size()); }
+  /// Sum of the partitions' stats (each partition read under its lock).
+  BufferPoolStats stats() const;
+  void ResetStats();
+  uint32_t capacity() const { return capacity_; }
+  uint32_t num_partitions() const { return num_partitions_; }
   DiskManager* disk() const { return disk_; }
 
-  /// Homes physical I/O latency on `m` ("disk.read_ns"/"disk.write_ns"
-  /// histograms). The pool times its DiskManager calls itself so
-  /// DiskManager's virtual interface stays untouched (tests subclass it).
-  /// Latest binding wins; UnbindMetrics(m) detaches only if `m` is still
-  /// the current binding, so a middle tier that outlives another sharing
-  /// this pool never yanks the survivor's histograms.
+  /// Homes physical I/O latency ("disk.read_ns"/"disk.write_ns") and
+  /// contended partition-lock waits ("pool.lock_wait_ns") on `m`. The pool
+  /// times its DiskManager calls itself so DiskManager's virtual interface
+  /// stays untouched (tests subclass it). Latest binding wins;
+  /// UnbindMetrics(m) detaches only if `m` is still the current binding, so
+  /// a middle tier that outlives another sharing this pool never yanks the
+  /// survivor's histograms.
   void BindMetrics(MetricsRegistry* m);
   void UnbindMetrics(MetricsRegistry* m);
 
@@ -138,29 +142,54 @@ class BufferPool {
     bool dirty = false;
     bool referenced = false;
     bool in_use = false;
+
+    /// Frees the frame without touching its page bytes (the next Fetch
+    /// overwrites them, the next Allocate zeroes them).
+    void Reset() {
+      id = kInvalidPageId;
+      pin_count = 0;
+      dirty = referenced = in_use = false;
+    }
   };
 
-  void Unpin(uint32_t frame, bool dirty);
-  void MarkFrameDirty(uint32_t frame);
-  /// Finds a victim frame via CLOCK; writes back if dirty. Returns frame
-  /// index or ResourceExhausted. Caller must hold mu_.
-  Result<uint32_t> GrabFrame();
+  /// One hash partition: a private CLOCK over its own frames. Aligned so
+  /// neighbouring partitions' locks never share a cache line.
+  struct alignas(64) Partition {
+    std::mutex mu;
+    std::vector<Frame> frames;
+    std::unordered_map<PageId, uint32_t, PageIdHash> table;
+    uint32_t clock_hand = 0;
+    BufferPoolStats stats;
+  };
+
+  Partition& PartitionFor(PageId id) {
+    return partitions_[PageIdHash{}(id) & (num_partitions_ - 1)];
+  }
+
+  /// Locks `p`, timing the wait into "pool.lock_wait_ns" only when the
+  /// lock is contended and a registry is bound.
+  std::unique_lock<std::mutex> Lock(Partition& p);
+
+  void Unpin(PageId id, uint32_t frame);
+  void MarkFrameDirty(PageId id, uint32_t frame);
+  /// Finds a victim frame of `p` via CLOCK; writes back if dirty. Returns
+  /// the frame index or ResourceExhausted. Caller must hold p.mu.
+  Result<uint32_t> GrabFrame(Partition& p);
 
   /// DiskManager calls timed into the bound histograms (no-ops when
   /// unbound beyond one relaxed load).
   Status ReadTimed(PageId id, Page* page);
   Status WriteTimed(PageId id, const Page& page);
 
-  mutable std::mutex mu_;
   DiskManager* disk_;
-  std::vector<Frame> frames_;
-  std::unordered_map<PageId, uint32_t, PageIdHash> table_;
-  uint32_t clock_hand_ = 0;
-  BufferPoolStats stats_;
+  uint32_t capacity_;
+  uint32_t num_partitions_;
+  std::unique_ptr<Partition[]> partitions_;
 
   std::atomic<MetricsRegistry*> bound_registry_{nullptr};
   std::atomic<Histogram*> read_ns_{nullptr};
   std::atomic<Histogram*> write_ns_{nullptr};
+  std::atomic<Histogram*> lock_wait_ns_{nullptr};
 };
 
 }  // namespace chunkcache::storage

@@ -30,10 +30,7 @@ Status DiskManager::VerifyPageChecksum(PageId id, const Page& page) {
     expected = it->second;
   }
   if (Crc32c(page.data.data(), kPageSize) == expected) return Status::OK();
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.checksum_failures;
-  }
+  checksum_failures_.fetch_add(1, std::memory_order_relaxed);
   return Status::Corruption("page checksum mismatch at file " +
                             std::to_string(id.file_id) + " page " +
                             std::to_string(id.page_no));
@@ -44,12 +41,14 @@ Status DiskManager::VerifyPageChecksum(PageId id, const Page& page) {
 // ---------------------------------------------------------------------------
 
 uint32_t InMemoryDiskManager::CreateFile() {
+  std::unique_lock<std::shared_mutex> lock(dir_mu_);
   files_.emplace_back();
   return static_cast<uint32_t>(files_.size());  // ids start at 1
 }
 
 Result<PageId> InMemoryDiskManager::AllocatePage(uint32_t file_id) {
   CHUNKCACHE_FAULT_POINT(FaultSite::kDiskAlloc);
+  std::unique_lock<std::shared_mutex> lock(dir_mu_);
   if (file_id == 0 || file_id > files_.size()) {
     return Status::InvalidArgument("AllocatePage: unknown file id " +
                                    std::to_string(file_id));
@@ -64,18 +63,24 @@ Result<PageId> InMemoryDiskManager::AllocatePage(uint32_t file_id) {
   return id;
 }
 
+Page* InMemoryDiskManager::Lookup(PageId id) const {
+  std::shared_lock<std::shared_mutex> lock(dir_mu_);
+  if (id.file_id == 0 || id.file_id > files_.size()) return nullptr;
+  const auto& pages = files_[id.file_id - 1];
+  if (id.page_no >= pages.size()) return nullptr;
+  // Pages are never freed or moved, so the pointer outlives the lock.
+  return pages[id.page_no].get();
+}
+
 Status InMemoryDiskManager::ReadPage(PageId id, Page* out) {
   CHUNKCACHE_FAULT_POINT(FaultSite::kDiskRead);
-  if (id.file_id == 0 || id.file_id > files_.size()) {
-    return Status::IoError("ReadPage: unknown file id");
-  }
-  const auto& pages = files_[id.file_id - 1];
-  if (id.page_no >= pages.size()) {
+  const Page* page = Lookup(id);
+  if (page == nullptr) {
     return Status::IoError("ReadPage: page " + std::to_string(id.page_no) +
-                           " beyond EOF of file " +
-                           std::to_string(id.file_id));
+                           " of file " + std::to_string(id.file_id) +
+                           " does not exist");
   }
-  *out = *pages[id.page_no];
+  *out = *page;
   CountRead();
   // Corrupt only the returned copy — the store stays clean, so a retry of
   // the same read recovers (models a transient bus/DMA flip).
@@ -88,20 +93,20 @@ Status InMemoryDiskManager::ReadPage(PageId id, Page* out) {
 
 Status InMemoryDiskManager::WritePage(PageId id, const Page& page) {
   CHUNKCACHE_FAULT_POINT(FaultSite::kDiskWrite);
-  if (id.file_id == 0 || id.file_id > files_.size()) {
-    return Status::IoError("WritePage: unknown file id");
+  Page* dst = Lookup(id);
+  if (dst == nullptr) {
+    return Status::IoError("WritePage: page " + std::to_string(id.page_no) +
+                           " of file " + std::to_string(id.file_id) +
+                           " does not exist");
   }
-  auto& pages = files_[id.file_id - 1];
-  if (id.page_no >= pages.size()) {
-    return Status::IoError("WritePage: page beyond EOF");
-  }
-  *pages[id.page_no] = page;
+  *dst = page;
   RecordPageChecksum(id, page);
   CountWrite();
   return Status::OK();
 }
 
 uint32_t InMemoryDiskManager::FilePageCount(uint32_t file_id) const {
+  std::shared_lock<std::shared_mutex> lock(dir_mu_);
   if (file_id == 0 || file_id > files_.size()) return 0;
   return static_cast<uint32_t>(files_[file_id - 1].size());
 }
@@ -256,6 +261,7 @@ Status FileDiskManager::SaveDirectory() {
 }
 
 Status FileDiskManager::Sync() {
+  std::unique_lock<std::shared_mutex> lock(dir_mu_);
   Status s = SaveDirectory();
   if (!s.ok()) {
     CountWriteError();
@@ -270,12 +276,14 @@ Status FileDiskManager::Sync() {
 }
 
 uint32_t FileDiskManager::CreateFile() {
+  std::unique_lock<std::shared_mutex> lock(dir_mu_);
   directory_.emplace_back();
   return static_cast<uint32_t>(directory_.size());
 }
 
 Result<PageId> FileDiskManager::AllocatePage(uint32_t file_id) {
   CHUNKCACHE_FAULT_POINT(FaultSite::kDiskAlloc);
+  std::unique_lock<std::shared_mutex> lock(dir_mu_);
   if (file_id == 0 || file_id > directory_.size()) {
     return Status::InvalidArgument("AllocatePage: unknown file id");
   }
@@ -295,17 +303,23 @@ Result<PageId> FileDiskManager::AllocatePage(uint32_t file_id) {
   return id;
 }
 
-Status FileDiskManager::ReadPage(PageId id, Page* out) {
-  CHUNKCACHE_FAULT_POINT(FaultSite::kDiskRead);
+Result<uint64_t> FileDiskManager::SlotOf(PageId id, const char* op) const {
+  std::shared_lock<std::shared_mutex> lock(dir_mu_);
   if (id.file_id == 0 || id.file_id > directory_.size()) {
-    return Status::IoError("ReadPage: unknown file id");
+    return Status::IoError(std::string(op) + ": unknown file id");
   }
   const auto& pages = directory_[id.file_id - 1];
   if (id.page_no >= pages.size()) {
-    return Status::IoError("ReadPage: page beyond EOF");
+    return Status::IoError(std::string(op) + ": page beyond EOF");
   }
+  return pages[id.page_no];
+}
+
+Status FileDiskManager::ReadPage(PageId id, Page* out) {
+  CHUNKCACHE_FAULT_POINT(FaultSite::kDiskRead);
+  CHUNKCACHE_ASSIGN_OR_RETURN(uint64_t slot, SlotOf(id, "ReadPage"));
   CountRead();
-  CHUNKCACHE_RETURN_IF_ERROR(PReadPage(fd_, pages[id.page_no], out));
+  CHUNKCACHE_RETURN_IF_ERROR(PReadPage(fd_, slot, out));
   FaultInjector& fi = FaultInjector::Global();
   if (fi.armed() && fi.ShouldInject(FaultSite::kDiskCorrupt)) {
     fi.CorruptBuffer(out->data.data(), kPageSize);
@@ -315,15 +329,9 @@ Status FileDiskManager::ReadPage(PageId id, Page* out) {
 
 Status FileDiskManager::WritePage(PageId id, const Page& page) {
   CHUNKCACHE_FAULT_POINT(FaultSite::kDiskWrite);
-  if (id.file_id == 0 || id.file_id > directory_.size()) {
-    return Status::IoError("WritePage: unknown file id");
-  }
-  const auto& pages = directory_[id.file_id - 1];
-  if (id.page_no >= pages.size()) {
-    return Status::IoError("WritePage: page beyond EOF");
-  }
+  CHUNKCACHE_ASSIGN_OR_RETURN(uint64_t slot, SlotOf(id, "WritePage"));
   CountWrite();
-  Status ws = PWritePage(fd_, pages[id.page_no], page);
+  Status ws = PWritePage(fd_, slot, page);
   if (!ws.ok()) {
     CountWriteError();
     return ws;
@@ -333,6 +341,7 @@ Status FileDiskManager::WritePage(PageId id, const Page& page) {
 }
 
 uint32_t FileDiskManager::FilePageCount(uint32_t file_id) const {
+  std::shared_lock<std::shared_mutex> lock(dir_mu_);
   if (file_id == 0 || file_id > directory_.size()) return 0;
   return static_cast<uint32_t>(directory_[file_id - 1].size());
 }

@@ -1,9 +1,11 @@
 #ifndef CHUNKCACHE_STORAGE_DISK_MANAGER_H_
 #define CHUNKCACHE_STORAGE_DISK_MANAGER_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <shared_mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -28,6 +30,15 @@ struct DiskStats {
 
 /// Abstraction over the physical page store. One DiskManager hosts many
 /// numbered files (fact file, indexes, ...), each a dense array of pages.
+///
+/// Concurrency contract: every method is thread-safe. ReadPage and
+/// WritePage of *distinct* pages may run concurrently with each other and
+/// with CreateFile/AllocatePage (the BufferPool's partitions do exactly
+/// that); concurrent access to the *same* page is the caller's to prevent
+/// (the pool holds a page's partition lock across its I/O). The built-in
+/// implementations guard their page directory with a shared/exclusive lock:
+/// reads and writes share it, CreateFile/AllocatePage take it exclusively.
+/// Subclasses must keep the same contract.
 ///
 /// Implementations:
 ///  - InMemoryDiskManager: pages live in RAM with exact I/O accounting; this
@@ -54,34 +65,33 @@ class DiskManager {
   /// Number of pages currently allocated in `file_id`.
   virtual uint32_t FilePageCount(uint32_t file_id) const = 0;
 
-  /// Snapshot of the I/O counters. Counters are guarded by their own
-  /// mutex so concurrent queries can read work deltas while other threads
-  /// perform I/O (page data itself is serialized by the BufferPool).
+  /// Snapshot of the I/O counters. Each counter is a relaxed atomic, so
+  /// counting never takes a lock on the I/O path; a snapshot taken while
+  /// other threads do I/O may mix counts from slightly different instants.
   DiskStats stats() const {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    return stats_;
+    DiskStats s;
+    s.reads = reads_.load(std::memory_order_relaxed);
+    s.writes = writes_.load(std::memory_order_relaxed);
+    s.allocations = allocations_.load(std::memory_order_relaxed);
+    s.checksum_failures = checksum_failures_.load(std::memory_order_relaxed);
+    s.write_errors = write_errors_.load(std::memory_order_relaxed);
+    return s;
   }
   void ResetStats() {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    stats_ = DiskStats();
+    for (auto* c : {&reads_, &writes_, &allocations_, &checksum_failures_,
+                    &write_errors_}) {
+      c->store(0, std::memory_order_relaxed);
+    }
   }
 
  protected:
-  void CountRead() {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.reads;
-  }
-  void CountWrite() {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.writes;
-  }
+  void CountRead() { reads_.fetch_add(1, std::memory_order_relaxed); }
+  void CountWrite() { writes_.fetch_add(1, std::memory_order_relaxed); }
   void CountAllocation() {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.allocations;
+    allocations_.fetch_add(1, std::memory_order_relaxed);
   }
   void CountWriteError() {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.write_errors;
+    write_errors_.fetch_add(1, std::memory_order_relaxed);
   }
 
   /// End-to-end page integrity: WritePage records a CRC32C of the payload
@@ -95,8 +105,11 @@ class DiskManager {
   Status VerifyPageChecksum(PageId id, const Page& page);
 
  private:
-  mutable std::mutex stats_mu_;
-  DiskStats stats_;
+  std::atomic<uint64_t> reads_{0};
+  std::atomic<uint64_t> writes_{0};
+  std::atomic<uint64_t> allocations_{0};
+  std::atomic<uint64_t> checksum_failures_{0};
+  std::atomic<uint64_t> write_errors_{0};
   mutable std::mutex crc_mu_;
   std::unordered_map<uint64_t, uint32_t> page_crc_;  // PageId::AsU64() -> crc
 };
@@ -116,6 +129,11 @@ class InMemoryDiskManager final : public DiskManager {
   uint32_t FilePageCount(uint32_t file_id) const override;
 
  private:
+  /// The stored page `id`, or nullptr if it was never allocated.
+  Page* Lookup(PageId id) const;
+
+  // Shared by page reads/writes, exclusive for CreateFile/AllocatePage.
+  mutable std::shared_mutex dir_mu_;
   // files_[file_id - 1] is the page vector of that file.
   std::vector<std::vector<std::unique_ptr<Page>>> files_;
 };
@@ -151,8 +169,13 @@ class FileDiskManager final : public DiskManager {
 
   Status LoadDirectory();
   Status SaveDirectory();
+  /// Physical slot of `id`, or IoError naming `op` if it does not exist.
+  Result<uint64_t> SlotOf(PageId id, const char* op) const;
 
   int fd_;
+  // Shared by page reads/writes, exclusive for CreateFile/AllocatePage and
+  // Sync (which serializes the directory).
+  mutable std::shared_mutex dir_mu_;
   // directory_[file_id - 1][page_no] = physical page slot in the OS file.
   std::vector<std::vector<uint64_t>> directory_;
   uint64_t next_slot_ = 0;

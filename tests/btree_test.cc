@@ -308,5 +308,161 @@ TEST(BTreeTest, ScanEmptyRange) {
   EXPECT_EQ(visited, 0);
 }
 
+// ------------------------------- GetSorted ----------------------------------
+
+using Hits = std::vector<std::pair<uint64_t, BTreePayload>>;
+
+Hits GetSortedHits(BTree& t, const std::vector<uint64_t>& keys) {
+  Hits out;
+  EXPECT_TRUE(t.GetSorted(keys, [&out](uint64_t k, const BTreePayload& p) {
+                 out.emplace_back(k, p);
+               }).ok());
+  return out;
+}
+
+Hits PerKeyHits(BTree& t, const std::vector<uint64_t>& keys) {
+  Hits out;
+  for (const uint64_t k : keys) {
+    auto v = t.Get(k);
+    if (v.ok()) {
+      out.emplace_back(k, *v);
+    } else {
+      EXPECT_EQ(v.status().code(), StatusCode::kNotFound);
+    }
+  }
+  return out;
+}
+
+uint64_t Fetches(const BufferPool& pool) {
+  const auto s = pool.stats();
+  return s.hits + s.misses;
+}
+
+// A bulk-loaded leaf holds (4096 - 16) / 24 = 170 entries and an internal
+// node 340 children, so these sizes give trees of height 1, 2 and 3.
+uint64_t KeysForHeight(uint32_t height) {
+  return height == 1 ? 150 : height == 2 ? 6000 : 60000;
+}
+
+class BTreeGetSortedTest : public ::testing::TestWithParam<uint32_t> {};
+
+TEST_P(BTreeGetSortedTest, AgreesWithPerKeyGetOnSparseKeys) {
+  const uint32_t height = GetParam();
+  TreeFixture f;
+  auto t = BTree::Create(&f.pool);
+  ASSERT_TRUE(t.ok());
+  Random rng(height * 31 + 5);
+  // Sparse keys with random gaps: absent keys sit below the first key,
+  // between keys of one leaf, between leaves and past the last leaf.
+  std::vector<std::pair<uint64_t, BTreePayload>> input;
+  uint64_t key = 10;
+  for (uint64_t i = 0; i < KeysForHeight(height); ++i) {
+    key += 1 + rng.Uniform(7);
+    input.emplace_back(key, P(i, key));
+  }
+  ASSERT_TRUE(t->BulkLoad(input).ok());
+  ASSERT_EQ(t->height(), height);
+  const uint64_t max_key = input.back().first;
+
+  auto random_query = [&](size_t n) {
+    std::vector<uint64_t> q;
+    for (size_t i = 0; i < n; ++i) {
+      const double roll = rng.NextDouble();
+      if (roll < 0.5) {
+        q.push_back(input[rng.Uniform(input.size())].first);  // present
+      } else if (roll < 0.9) {
+        q.push_back(rng.Uniform(max_key + 1));  // mostly absent
+      } else {
+        q.push_back(max_key + 1 + rng.Uniform(100));  // past the last leaf
+      }
+      if (rng.NextDouble() < 0.1) q.push_back(q.back());  // duplicate
+    }
+    std::sort(q.begin(), q.end());
+    return q;
+  };
+
+  EXPECT_TRUE(GetSortedHits(*t, {}).empty());
+  for (int trial = 0; trial < 30; ++trial) {
+    const auto q = random_query(rng.Uniform(400));
+    ASSERT_EQ(GetSortedHits(*t, q), PerKeyHits(*t, q)) << "trial " << trial;
+  }
+  // Only absent keys: below the first key, and past the last leaf.
+  const std::vector<uint64_t> below = {0, 1, 2, 3};
+  EXPECT_TRUE(GetSortedHits(*t, below).empty());
+  const std::vector<uint64_t> past = {max_key + 1, max_key + 5, max_key + 5};
+  EXPECT_TRUE(GetSortedHits(*t, past).empty());
+
+  // Deleting keys leaves separators that no longer exist as entries.
+  for (size_t i = 0; i < input.size(); i += 3) {
+    ASSERT_TRUE(t->Delete(input[i].first).ok());
+  }
+  ASSERT_TRUE(t->CheckInvariants().ok());
+  for (int trial = 0; trial < 30; ++trial) {
+    const auto q = random_query(rng.Uniform(400));
+    ASSERT_EQ(GetSortedHits(*t, q), PerKeyHits(*t, q))
+        << "after deletes, trial " << trial;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Heights, BTreeGetSortedTest,
+                         ::testing::Values(1u, 2u, 3u));
+
+TEST(BTreeGetSortedBoundTest, KeysInOneLeafCostOneDescent) {
+  TreeFixture f;
+  auto t = BTree::Create(&f.pool);
+  ASSERT_TRUE(t.ok());
+  std::vector<std::pair<uint64_t, BTreePayload>> input;
+  for (uint64_t k = 0; k < KeysForHeight(3); ++k) {
+    input.emplace_back(k * 2, P(k));
+  }
+  ASSERT_TRUE(t->BulkLoad(input).ok());
+  ASSERT_EQ(t->height(), 3u);
+  // Keys 0..98 (present and absent) all live in the first leaf.
+  std::vector<uint64_t> keys;
+  for (uint64_t k = 0; k < 99; ++k) keys.push_back(k);
+  uint64_t before = Fetches(f.pool);
+  EXPECT_EQ(GetSortedHits(*t, keys).size(), 50u);
+  EXPECT_LE(Fetches(f.pool) - before, t->height());
+  // The per-key path pays one descent per key.
+  before = Fetches(f.pool);
+  EXPECT_EQ(PerKeyHits(*t, keys).size(), 50u);
+  EXPECT_EQ(Fetches(f.pool) - before, keys.size() * t->height());
+}
+
+TEST(BTreeGetSortedBoundTest, CostIsOneDescentPerLeafTouched) {
+  TreeFixture f;
+  auto t = BTree::Create(&f.pool);
+  ASSERT_TRUE(t.ok());
+  std::vector<std::pair<uint64_t, BTreePayload>> input;
+  for (uint64_t k = 0; k < KeysForHeight(3); ++k) {
+    input.emplace_back(k, P(k));
+  }
+  ASSERT_TRUE(t->BulkLoad(input).ok());
+  // Bulk load fills leaves with 170 consecutive keys each.
+  constexpr uint64_t kPerLeaf = 170;
+  Random rng(11);
+  for (int trial = 0; trial < 10; ++trial) {
+    std::vector<uint64_t> keys;
+    for (int i = 0; i < 500; ++i) keys.push_back(rng.Uniform(input.size()));
+    std::sort(keys.begin(), keys.end());
+    std::vector<uint64_t> leaves;
+    for (const uint64_t k : keys) leaves.push_back(k / kPerLeaf);
+    leaves.erase(std::unique(leaves.begin(), leaves.end()), leaves.end());
+    const uint64_t before = Fetches(f.pool);
+    EXPECT_EQ(GetSortedHits(*t, keys).size(), keys.size());
+    EXPECT_EQ(Fetches(f.pool) - before, leaves.size() * t->height());
+  }
+}
+
+TEST(BTreeGetSortedBoundTest, RejectsDescendingKeys) {
+  TreeFixture f;
+  auto t = BTree::Create(&f.pool);
+  ASSERT_TRUE(t.ok());
+  for (uint64_t k = 0; k < 1000; ++k) ASSERT_TRUE(t->Insert(k, P(k)).ok());
+  const std::vector<uint64_t> keys = {5, 9, 7};
+  EXPECT_EQ(t->GetSorted(keys, [](uint64_t, const BTreePayload&) {}).code(),
+            StatusCode::kInvalidArgument);
+}
+
 }  // namespace
 }  // namespace chunkcache::index

@@ -2,8 +2,10 @@
 
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/random.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
@@ -180,6 +182,61 @@ TEST(FileDiskManagerTest, DestructorPersistsWithoutExplicitSync) {
   std::remove(path.c_str());
 }
 
+TEST(FileDiskManagerTest, ConcurrentAllocateReadWriteOfDistinctPages) {
+  // The DiskManager contract: page reads and writes of distinct pages run
+  // concurrently with each other and with allocation.
+  const std::string path =
+      testing::TempDir() + "/chunkcache_fdm_concurrent.db";
+  std::remove(path.c_str());
+  constexpr int kThreads = 4;
+  constexpr uint32_t kPages = 150;
+  std::vector<uint32_t> files(kThreads);
+  {
+    auto dm = FileDiskManager::Open(path);
+    ASSERT_TRUE(dm.ok());
+    for (auto& f : files) f = (*dm)->CreateFile();
+    std::vector<int> errors(kThreads, 0);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        Random rng(7 + t);
+        Page p;
+        p.Zero();
+        for (uint32_t i = 0; i < kPages; ++i) {
+          auto pid = (*dm)->AllocatePage(files[t]);
+          if (!pid.ok() || pid->page_no != i) {
+            ++errors[t];
+            return;
+          }
+          *p.As<uint32_t>() = files[t] * 1000 + i;
+          if (!(*dm)->WritePage(*pid, p).ok()) ++errors[t];
+          const uint32_t back = static_cast<uint32_t>(rng.Uniform(i + 1));
+          Page out;
+          if (!(*dm)->ReadPage({files[t], back}, &out).ok() ||
+              *out.As<uint32_t>() != files[t] * 1000 + back) {
+            ++errors[t];
+          }
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+    for (int t = 0; t < kThreads; ++t) EXPECT_EQ(errors[t], 0);
+    EXPECT_EQ((*dm)->stats().allocations, kThreads * kPages);
+    ASSERT_TRUE((*dm)->Sync().ok());
+  }
+  auto dm = FileDiskManager::Open(path);
+  ASSERT_TRUE(dm.ok());
+  Page out;
+  for (const uint32_t f : files) {
+    ASSERT_EQ((*dm)->FilePageCount(f), kPages);
+    for (uint32_t i = 0; i < kPages; ++i) {
+      ASSERT_TRUE((*dm)->ReadPage({f, i}, &out).ok());
+      EXPECT_EQ(*out.As<uint32_t>(), f * 1000 + i);
+    }
+  }
+  std::remove(path.c_str());
+}
+
 // ------------------------------ BufferPool ----------------------------------
 
 TEST(BufferPoolTest, HitAvoidsPhysicalRead) {
@@ -299,6 +356,245 @@ TEST(BufferPoolTest, GuardMoveTransfersPin) {
   auto g3 = pool.Allocate(f);
   EXPECT_TRUE(g2.ok());
   EXPECT_TRUE(g3.ok());
+}
+
+// ------------------------- partitioned BufferPool ---------------------------
+
+TEST(PartitionedPoolTest, PartitionCountFollowsFrameCount) {
+  InMemoryDiskManager dm;
+  // Largest power of two <= 16 that leaves >= 64 frames per partition.
+  const std::vector<std::pair<uint32_t, uint32_t>> expected = {
+      {1, 1},    {2, 1},    {127, 1},  {128, 2},  {255, 2},
+      {256, 4},  {512, 8},  {1024, 16}, {2048, 16}, {4096, 16}};
+  for (const auto& [frames, partitions] : expected) {
+    BufferPool pool(&dm, frames);
+    EXPECT_EQ(pool.num_partitions(), partitions) << frames << " frames";
+    EXPECT_EQ(pool.capacity(), frames);
+  }
+}
+
+TEST(PartitionedPoolTest, StatsSumThePartitionsExactly) {
+  InMemoryDiskManager dm;
+  BufferPool pool(&dm, 4096);
+  ASSERT_EQ(pool.num_partitions(), 16u);
+  const uint32_t f = dm.CreateFile();
+  const uint32_t n = 1000;
+  std::vector<PageId> ids;
+  for (uint32_t i = 0; i < n; ++i) {
+    auto g = pool.Allocate(f);
+    ASSERT_TRUE(g.ok());
+    ids.push_back(g->id());
+  }
+  ASSERT_TRUE(pool.EvictAll().ok());
+  BufferPoolStats s = pool.stats();
+  EXPECT_EQ(s.dirty_writebacks, n);  // every fresh page was dirty
+  EXPECT_EQ(s.hits + s.misses, 0u);
+  for (int round = 0; round < 3; ++round) {
+    for (const PageId id : ids) ASSERT_TRUE(pool.Fetch(id).ok());
+  }
+  s = pool.stats();
+  EXPECT_EQ(s.misses, n);  // one cold miss per page, in whatever partition
+  EXPECT_EQ(s.hits, 2 * n);
+  EXPECT_EQ(s.evictions, 0u);
+  EXPECT_EQ(dm.stats().reads, n);
+  pool.ResetStats();
+  s = pool.stats();
+  EXPECT_EQ(s.hits + s.misses + s.evictions + s.dirty_writebacks, 0u);
+}
+
+TEST(PartitionedPoolTest, FlushAllAndEvictAllCoverEveryPartition) {
+  InMemoryDiskManager dm;
+  BufferPool pool(&dm, 4096);
+  const uint32_t f = dm.CreateFile();
+  const uint32_t n = 2000;
+  std::vector<PageId> ids;
+  for (uint32_t i = 0; i < n; ++i) {
+    auto g = pool.Allocate(f);
+    ASSERT_TRUE(g.ok());
+    *g->page()->As<uint32_t>() = i + 1;
+    g->MarkDirty();
+    ids.push_back(g->id());
+  }
+  dm.ResetStats();
+  ASSERT_TRUE(pool.FlushAll().ok());
+  EXPECT_EQ(dm.stats().writes, n);
+  // Every page reached the disk, whichever partition held it.
+  Page out;
+  for (uint32_t i = 0; i < n; ++i) {
+    ASSERT_TRUE(dm.ReadPage(ids[i], &out).ok());
+    ASSERT_EQ(*out.As<uint32_t>(), i + 1);
+  }
+  // A second flush finds nothing dirty; the pages stay cached.
+  ASSERT_TRUE(pool.FlushAll().ok());
+  EXPECT_EQ(dm.stats().writes, n);
+  pool.ResetStats();
+  for (const PageId id : ids) ASSERT_TRUE(pool.Fetch(id).ok());
+  EXPECT_EQ(pool.stats().hits, n);
+
+  ASSERT_TRUE(pool.EvictAll().ok());
+  pool.ResetStats();
+  for (uint32_t i = 0; i < n; ++i) {
+    auto g = pool.Fetch(ids[i]);
+    ASSERT_TRUE(g.ok());
+    ASSERT_EQ(*g->page()->As<uint32_t>(), i + 1);
+  }
+  EXPECT_EQ(pool.stats().misses, n);  // no partition kept a page
+}
+
+TEST(PartitionedPoolTest, SmallPoolExhaustsOnlyWhenEveryFrameIsPinned) {
+  for (const uint32_t frames : {64u, 127u}) {
+    InMemoryDiskManager dm;
+    BufferPool pool(&dm, frames);
+    ASSERT_EQ(pool.num_partitions(), 1u);
+    const uint32_t f = dm.CreateFile();
+    std::vector<PageGuard> pinned;
+    for (uint32_t i = 0; i < frames; ++i) {
+      auto g = pool.Allocate(f);
+      ASSERT_TRUE(g.ok()) << "pin " << i << " of " << frames;
+      pinned.push_back(std::move(*g));
+    }
+    auto over = pool.Allocate(f);
+    EXPECT_EQ(over.status().code(), StatusCode::kResourceExhausted);
+    pinned[frames / 2].Release();
+    EXPECT_TRUE(pool.Allocate(f).ok());
+  }
+}
+
+TEST(PartitionedPoolTest, ExhaustionIsPerPartition) {
+  // Two partitions of 64 frames: pinning fails once the new page's own
+  // partition is full, which takes at least 64 pins and at most 128.
+  InMemoryDiskManager dm;
+  BufferPool pool(&dm, 128);
+  ASSERT_EQ(pool.num_partitions(), 2u);
+  const uint32_t f = dm.CreateFile();
+  std::vector<PageGuard> pinned;
+  Status last = Status::OK();
+  while (last.ok()) {
+    auto g = pool.Allocate(f);
+    last = g.status();
+    if (g.ok()) pinned.push_back(std::move(*g));
+  }
+  EXPECT_EQ(last.code(), StatusCode::kResourceExhausted);
+  EXPECT_GE(pinned.size(), 64u);
+  EXPECT_LT(pinned.size(), 128u);
+  pinned.clear();
+  EXPECT_TRUE(pool.Allocate(f).ok());
+}
+
+TEST(PartitionedPoolTest, UncontendedAccessRecordsNoLockWait) {
+  InMemoryDiskManager dm;
+  BufferPool pool(&dm, 4096);
+  MetricsRegistry metrics;
+  pool.BindMetrics(&metrics);
+  const uint32_t f = dm.CreateFile();
+  for (int i = 0; i < 500; ++i) {
+    auto g = pool.Allocate(f);
+    ASSERT_TRUE(g.ok());
+    g->MarkDirty();
+  }
+  ASSERT_TRUE(pool.EvictAll().ok());
+  for (uint32_t i = 0; i < 500; ++i) ASSERT_TRUE(pool.Fetch({f, i}).ok());
+  EXPECT_EQ(metrics.GetHistogram("pool.lock_wait_ns")->Snapshot().count, 0u);
+  EXPECT_EQ(metrics.GetHistogram("disk.read_ns")->Snapshot().count, 500u);
+  pool.UnbindMetrics(&metrics);
+}
+
+// Threads fetch a shared read-only page set (larger than the pool, so
+// partitions evict under contention) while each allocates, overwrites and
+// re-reads pages of its own: allocation mutates the disk's page directory
+// while other partitions read and write pages. Every read checks the page's stamp, and the
+// summed partition stats must account for every Fetch exactly.
+TEST(PartitionedPoolTest, MultiThreadStressKeepsContentsAndCounts) {
+  constexpr int kThreads = 4;
+  constexpr int kOps = 6000;
+  InMemoryDiskManager dm;
+  BufferPool pool(&dm, 1024);
+  ASSERT_EQ(pool.num_partitions(), 16u);
+  const uint32_t shared_file = dm.CreateFile();
+  const uint32_t kShared = 1500;
+  auto stamp_of = [](PageId id, uint64_t version) {
+    return id.AsU64() * 0x9E3779B97F4A7C15ULL + version;
+  };
+  for (uint32_t i = 0; i < kShared; ++i) {
+    auto g = pool.Allocate(shared_file);
+    ASSERT_TRUE(g.ok());
+    *g->page()->As<uint64_t>() = stamp_of(g->id(), 0);
+    g->MarkDirty();
+  }
+  ASSERT_TRUE(pool.FlushAll().ok());
+  pool.ResetStats();
+
+  struct Owned {
+    PageId id;
+    uint64_t version;
+  };
+  std::vector<std::vector<Owned>> owned(kThreads);
+  std::vector<uint64_t> fetches(kThreads, 0);
+  std::vector<int> errors(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Random rng(1000 + t);
+      for (int op = 0; op < kOps; ++op) {
+        const double roll = rng.NextDouble();
+        if (roll < 0.6) {
+          const PageId id{shared_file,
+                          static_cast<uint32_t>(rng.Uniform(kShared))};
+          auto g = pool.Fetch(id);
+          ++fetches[t];
+          if (!g.ok() || *g->page()->As<uint64_t>() != stamp_of(id, 0)) {
+            ++errors[t];
+          }
+        } else if (roll < 0.7 || owned[t].empty()) {
+          auto g = pool.Allocate(shared_file);
+          if (!g.ok()) {
+            ++errors[t];
+            continue;
+          }
+          *g->page()->As<uint64_t>() = stamp_of(g->id(), 1);
+          g->MarkDirty();
+          owned[t].push_back({g->id(), 1});
+        } else {
+          Owned& o = owned[t][rng.Uniform(owned[t].size())];
+          auto g = pool.Fetch(o.id);
+          ++fetches[t];
+          if (!g.ok() ||
+              *g->page()->As<uint64_t>() != stamp_of(o.id, o.version)) {
+            ++errors[t];
+            continue;
+          }
+          if (roll < 0.85) {
+            *g->page()->As<uint64_t>() = stamp_of(o.id, ++o.version);
+            g->MarkDirty();
+          }
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  uint64_t total_fetches = 0;
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(errors[t], 0) << "thread " << t;
+    total_fetches += fetches[t];
+  }
+  const BufferPoolStats s = pool.stats();
+  EXPECT_EQ(s.hits + s.misses, total_fetches);
+  EXPECT_GT(s.evictions, 0u);
+  // Everything written must survive a full write-back and cold re-read.
+  ASSERT_TRUE(pool.EvictAll().ok());
+  for (uint32_t i = 0; i < kShared; ++i) {
+    const PageId id{shared_file, i};
+    auto g = pool.Fetch(id);
+    ASSERT_TRUE(g.ok());
+    EXPECT_EQ(*g->page()->As<uint64_t>(), stamp_of(id, 0));
+  }
+  for (const auto& list : owned) {
+    for (const Owned& o : list) {
+      auto g = pool.Fetch(o.id);
+      ASSERT_TRUE(g.ok());
+      EXPECT_EQ(*g->page()->As<uint64_t>(), stamp_of(o.id, o.version));
+    }
+  }
 }
 
 // -------------------------------- FactFile ----------------------------------
