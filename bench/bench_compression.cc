@@ -115,7 +115,6 @@ struct SweepPoint {
   uint64_t off_pages = 0;
   uint64_t compressed_chunks = 0;
   uint64_t decode_calls = 0;
-  uint64_t decoded_lru_hits = 0;
   double crossover_page_ms = 0;  ///< Page cost where on == off total time.
   bool identical = false;        ///< Result hash on == hash off.
 };
@@ -231,7 +230,6 @@ Status Run() {
     p.off_pages = off.pages;
     p.compressed_chunks = on.stats.compressed_chunks;
     p.decode_calls = on.stats.decode_calls;
-    p.decoded_lru_hits = on.stats.decoded_lru_hits;
     p.identical = on.hash == off.hash;
     all_identical = all_identical && p.identical;
     // CPU/IO crossover: compression spends (cpu_on - cpu_off) ms of CPU to
@@ -277,14 +275,13 @@ Status Run() {
         "\"off_hit_ratio\": %.4f, \"on_avg_ms\": %.4f, \"off_avg_ms\": "
         "%.4f, \"on_pages\": %llu, \"off_pages\": %llu, "
         "\"compressed_chunks\": %llu, \"decode_calls\": %llu, "
-        "\"decoded_lru_hits\": %llu, \"crossover_page_ms\": %.5f, "
+        "\"crossover_page_ms\": %.5f, "
         "\"identical\": %s}%s\n",
         p.cache_mb, p.on_hit_ratio, p.off_hit_ratio, p.on_avg_ms,
         p.off_avg_ms, static_cast<unsigned long long>(p.on_pages),
         static_cast<unsigned long long>(p.off_pages),
         static_cast<unsigned long long>(p.compressed_chunks),
         static_cast<unsigned long long>(p.decode_calls),
-        static_cast<unsigned long long>(p.decoded_lru_hits),
         p.crossover_page_ms, p.identical ? "true" : "false",
         i + 1 < sweep.size() ? "," : "");
   }

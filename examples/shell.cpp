@@ -340,11 +340,8 @@ int main(int argc, char** argv) {
                         ? static_cast<double>(cs.codec_encoded_bytes) /
                               static_cast<double>(cs.codec_raw_bytes)
                         : 0.0);
-        std::printf("  decode: calls=%llu decoded-lru hits=%llu "
-                    "evictions=%llu\n",
-                    (unsigned long long)cs.decode_calls,
-                    (unsigned long long)cs.decoded_lru_hits,
-                    (unsigned long long)cs.decoded_lru_evictions);
+        std::printf("  decode: calls=%llu\n",
+                    (unsigned long long)cs.decode_calls);
         for (size_t c = 0; c < storage::codec::kNumCodecs; ++c) {
           const char* nm = storage::codec::CodecName(
               static_cast<storage::codec::ColumnCodec>(c));

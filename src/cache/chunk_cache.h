@@ -165,9 +165,7 @@ struct ChunkCacheStats {
   uint64_t compression_skipped = 0;  ///< Entries where encoding didn't pay.
   uint64_t codec_raw_bytes = 0;      ///< Raw payload bytes before encoding.
   uint64_t codec_encoded_bytes = 0;  ///< Encoded payload bytes produced.
-  uint64_t decode_calls = 0;         ///< Hits that had to decode.
-  uint64_t decoded_lru_hits = 0;     ///< Hits served by the decoded front.
-  uint64_t decoded_lru_evictions = 0;
+  uint64_t decode_calls = 0;         ///< Compressed chunks decoded.
 
   /// Active SIMD dispatch level (simd::IsaLevel: 0 = scalar, 1 = avx2),
   /// filled by ChunkCacheManager::StatsSnapshot.

@@ -21,9 +21,6 @@ class Cursor {
   bool GetU64(uint64_t* v) {
     return Take(8, [&](const uint8_t* p) { *v = server::GetU64(p); });
   }
-  bool GetF64(double* v) {
-    return Take(8, [&](const uint8_t* p) { *v = server::GetF64(p); });
-  }
   size_t left() const { return left_; }
 
  private:
@@ -114,37 +111,44 @@ Result<backend::StarJoinQuery> DecodeQuery(const uint8_t* data, size_t len) {
 
 void EncodeRowBatch(const std::vector<backend::ResultRow>& rows, size_t first,
                     size_t count, std::vector<uint8_t>* out) {
-  PutU32(out, static_cast<uint32_t>(count));
-  out->reserve(out->size() + count * kRowBytes);
-  for (size_t i = first; i < first + count; ++i) {
+  const size_t at = out->size();
+  out->resize(at + 4 + count * kRowBytes);
+  uint8_t* p = out->data() + at;
+  StoreU32(p, static_cast<uint32_t>(count));
+  p += 4;
+  for (size_t i = first; i < first + count; ++i, p += kRowBytes) {
     const backend::ResultRow& r = rows[i];
-    for (uint32_t d = 0; d < storage::kMaxDims; ++d) PutU32(out, r.coords[d]);
-    PutF64(out, r.sum);
-    PutU64(out, r.count);
-    PutF64(out, r.min_v);
-    PutF64(out, r.max_v);
+    for (uint32_t d = 0; d < storage::kMaxDims; ++d) {
+      StoreU32(p + 4 * d, r.coords[d]);
+    }
+    uint8_t* m = p + 4 * storage::kMaxDims;
+    StoreF64(m, r.sum);
+    StoreU64(m + 8, r.count);
+    StoreF64(m + 16, r.min_v);
+    StoreF64(m + 24, r.max_v);
   }
 }
 
 Status DecodeRowBatch(const uint8_t* data, size_t len,
                       std::vector<backend::ResultRow>* rows) {
-  Cursor c(data, len);
-  uint32_t count = 0;
-  if (!c.GetU32(&count)) return Truncated("row batch header");
-  if (static_cast<uint64_t>(count) * kRowBytes != c.left()) {
+  if (len < 4) return Truncated("row batch header");
+  const uint32_t count = GetU32(data);
+  if (static_cast<uint64_t>(count) * kRowBytes != len - 4) {
     return Status::Corruption("wire: row count does not match payload size");
   }
-  rows->reserve(rows->size() + count);
-  for (uint32_t i = 0; i < count; ++i) {
-    backend::ResultRow r;
+  const size_t at = rows->size();
+  rows->resize(at + count);
+  const uint8_t* p = data + 4;
+  for (uint32_t i = 0; i < count; ++i, p += kRowBytes) {
+    backend::ResultRow& r = (*rows)[at + i];
     for (uint32_t d = 0; d < storage::kMaxDims; ++d) {
-      if (!c.GetU32(&r.coords[d])) return Truncated("row coords");
+      r.coords[d] = GetU32(p + 4 * d);
     }
-    if (!c.GetF64(&r.sum) || !c.GetU64(&r.count) || !c.GetF64(&r.min_v) ||
-        !c.GetF64(&r.max_v)) {
-      return Truncated("row aggregates");
-    }
-    rows->push_back(r);
+    const uint8_t* m = p + 4 * storage::kMaxDims;
+    r.sum = GetF64(m);
+    r.count = GetU64(m + 8);
+    r.min_v = GetF64(m + 16);
+    r.max_v = GetF64(m + 24);
   }
   return Status::OK();
 }

@@ -1042,29 +1042,34 @@ void EncodeAggColumns(const AggColumns& cols, std::vector<uint8_t>* out,
   AppendCrc(out, from);
 }
 
-Result<AggColumns> DecodeAggColumns(const uint8_t* data, size_t len,
-                                    DecodeMode mode) {
+Status DecodeAggColumnsInto(const uint8_t* data, size_t len, AggColumns* out,
+                            DecodeMode mode) {
+  out->Reset(0);
   const uint8_t* p;
   const uint8_t* end;
   uint32_t num_dims;
   size_t n;
   CHUNKCACHE_RETURN_IF_ERROR(
       OpenBlob(data, len, kAggBlobTag, &p, &end, &num_dims, &n));
-  AggColumns cols(num_dims);
-  cols.Reserve(n);
-  for (uint32_t d = 0; d < num_dims; ++d) {
-    CHUNKCACHE_RETURN_IF_ERROR(
-        DecodeU32Column(&p, end, n, cols.mutable_coords(d), mode));
+  out->Reset(num_dims);
+  out->Reserve(n);
+  Status s;
+  for (uint32_t d = 0; d < num_dims && s.ok(); ++d) {
+    s = DecodeU32Column(&p, end, n, out->mutable_coords(d), mode);
   }
-  CHUNKCACHE_RETURN_IF_ERROR(
-      DecodeF64Column(&p, end, n, cols.mutable_sums(), mode));
-  CHUNKCACHE_RETURN_IF_ERROR(
-      DecodeU64Column(&p, end, n, cols.mutable_counts(), mode));
-  CHUNKCACHE_RETURN_IF_ERROR(
-      DecodeF64Column(&p, end, n, cols.mutable_mins(), mode));
-  CHUNKCACHE_RETURN_IF_ERROR(
-      DecodeF64Column(&p, end, n, cols.mutable_maxs(), mode));
-  if (p != end) return Status::Corruption("codec: trailing blob bytes");
+  if (s.ok()) s = DecodeF64Column(&p, end, n, out->mutable_sums(), mode);
+  if (s.ok()) s = DecodeU64Column(&p, end, n, out->mutable_counts(), mode);
+  if (s.ok()) s = DecodeF64Column(&p, end, n, out->mutable_mins(), mode);
+  if (s.ok()) s = DecodeF64Column(&p, end, n, out->mutable_maxs(), mode);
+  if (s.ok() && p != end) s = Status::Corruption("codec: trailing blob bytes");
+  if (!s.ok()) out->Reset(0);
+  return s;
+}
+
+Result<AggColumns> DecodeAggColumns(const uint8_t* data, size_t len,
+                                    DecodeMode mode) {
+  AggColumns cols;
+  CHUNKCACHE_RETURN_IF_ERROR(DecodeAggColumnsInto(data, len, &cols, mode));
   return cols;
 }
 

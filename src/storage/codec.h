@@ -97,6 +97,14 @@ void EncodeAggColumns(const AggColumns& cols, std::vector<uint8_t>* out,
 Result<AggColumns> DecodeAggColumns(const uint8_t* data, size_t len,
                                     DecodeMode mode = DecodeMode::kFast);
 
+/// DecodeAggColumns into caller-owned columns: `*out` is replaced by the
+/// blob's rows and dimension count, reusing the capacity its columns
+/// already hold, so a scratch decoded into over and over stops allocating
+/// once it has seen its largest blob. On error `*out` is left empty with
+/// zero dimensions (capacity still kept).
+Status DecodeAggColumnsInto(const uint8_t* data, size_t len, AggColumns* out,
+                            DecodeMode mode = DecodeMode::kFast);
+
 /// Encodes a base-tuple batch (key columns then the measure column).
 void EncodeTupleColumns(const TupleColumns& cols, std::vector<uint8_t>* out,
                         CodecStats* stats = nullptr);

@@ -291,6 +291,91 @@ TEST(CodecBlob, WrongFormatTagRejected) {
   EXPECT_FALSE(DecodeTupleColumns(blob.data(), blob.size()).ok());
 }
 
+// -------------------- DecodeAggColumnsInto (reused scratch) ------------------
+
+/// Requires `scratch` to hold exactly `want`: same dimension count and
+/// rows, bit for bit, and nothing left in the columns it does not use.
+void ExpectScratchHolds(const AggColumns& scratch, const AggColumns& want) {
+  ExpectAggBitIdentical(want, scratch);
+  for (uint32_t d = scratch.num_dims(); d < kMaxDims; ++d) {
+    EXPECT_TRUE(scratch.coords(d).empty()) << "stale inactive dim " << d;
+  }
+}
+
+TEST(CodecBlob, DecodeIntoAgreesWithDecodeOnReusedScratch) {
+  std::mt19937 rng(1511);
+  AggColumns scratch;
+  for (uint32_t num_dims = 1; num_dims <= kMaxDims; ++num_dims) {
+    // Large, then small, then the next dimension count: the scratch must
+    // shed the previous rows and dimensions but keep its capacity.
+    for (size_t rows : {size_t{700}, size_t{3}, size_t{0}, size_t{150}}) {
+      const AggColumns cols = RandomAgg(rng, num_dims, rows, rows % 2 == 0);
+      std::vector<uint8_t> blob;
+      EncodeAggColumns(cols, &blob);
+      auto fresh = DecodeAggColumns(blob.data(), blob.size());
+      ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+      for (DecodeMode mode : {DecodeMode::kFast, DecodeMode::kReference}) {
+        const size_t cap_before = scratch.sums().capacity();
+        ASSERT_TRUE(
+            DecodeAggColumnsInto(blob.data(), blob.size(), &scratch, mode)
+                .ok());
+        ExpectScratchHolds(scratch, *fresh);
+        ExpectScratchHolds(scratch, cols);
+        EXPECT_GE(scratch.sums().capacity(), cap_before)
+            << "scratch gave back its capacity";
+      }
+    }
+  }
+  // The largest chunk seen bounds the scratch: it never shrank below it.
+  EXPECT_GE(scratch.sums().capacity(), 700u);
+}
+
+TEST(CodecBlob, DecodeIntoRejectsCorruptBlobsAndRecovers) {
+  std::mt19937 rng(1512);
+  const AggColumns cols = RandomAgg(rng, 4, 200, true);
+  std::vector<uint8_t> blob;
+  EncodeAggColumns(cols, &blob);
+  const AggColumns other = RandomAgg(rng, 2, 50, true);
+  std::vector<uint8_t> other_blob;
+  EncodeAggColumns(other, &other_blob);
+
+  AggColumns scratch;
+  const auto expect_rejected = [&](const std::vector<uint8_t>& bad,
+                                   size_t len) {
+    // Start from a scratch holding other rows: a failed decode must not
+    // leave them (or a partial decode) behind.
+    ASSERT_TRUE(
+        DecodeAggColumnsInto(other_blob.data(), other_blob.size(), &scratch)
+            .ok());
+    for (DecodeMode mode : {DecodeMode::kFast, DecodeMode::kReference}) {
+      const Status s = DecodeAggColumnsInto(bad.data(), len, &scratch, mode);
+      if (s.ok()) {
+        // A flip pair can cancel out (same byte twice); result must match.
+        ExpectScratchHolds(scratch, cols);
+        continue;
+      }
+      EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.ToString();
+      EXPECT_TRUE(scratch.empty());
+      EXPECT_EQ(scratch.num_dims(), 0u);
+    }
+  };
+  for (size_t len = 0; len < blob.size(); len += 7) {
+    expect_rejected(blob, len);
+    EXPECT_FALSE(DecodeAggColumnsInto(blob.data(), len, &scratch).ok());
+  }
+  for (int iter = 0; iter < 500; ++iter) {
+    std::vector<uint8_t> bad = blob;
+    const int flips = 1 + rng() % 3;
+    for (int f = 0; f < flips; ++f) {
+      bad[rng() % bad.size()] ^= uint8_t(1u << (rng() % 8));
+    }
+    expect_rejected(bad, bad.size());
+  }
+  // After all that, the same scratch still decodes a good blob exactly.
+  ASSERT_TRUE(DecodeAggColumnsInto(blob.data(), blob.size(), &scratch).ok());
+  ExpectScratchHolds(scratch, cols);
+}
+
 // ---------------------- scalar == AVX2 decode parity ------------------------
 
 bool Avx2Available() {
@@ -453,6 +538,36 @@ TEST(CodecSimd, CorruptedBlobParityNeverCrashes) {
     ASSERT_EQ(scalar_status.ok(), avx2_status.ok()) << "iter " << iter;
     if (scalar_status.ok()) {
       EXPECT_EQ(scalar_out, avx2_out) << "iter " << iter;
+    }
+  }
+}
+
+TEST(CodecSimd, DecodeIntoParityAcrossDimsOnReusedScratch) {
+  if (!Avx2Available()) GTEST_SKIP() << "no AVX2 on this host";
+  std::mt19937 rng(1513);
+  AggColumns scalar_scratch, avx2_scratch;
+  for (uint32_t num_dims = 1; num_dims <= kMaxDims; ++num_dims) {
+    for (size_t rows : {size_t{1}, size_t{37}, size_t{600}, size_t{9}}) {
+      const AggColumns cols = RandomAgg(rng, num_dims, rows, rows != 37);
+      std::vector<uint8_t> blob;
+      EncodeAggColumns(cols, &blob);
+      auto ref = DecodeAggColumns(blob.data(), blob.size(),
+                                  DecodeMode::kReference);
+      ASSERT_TRUE(ref.ok());
+      {
+        simd::ScopedLevel pin(simd::IsaLevel::kScalar);
+        ASSERT_TRUE(
+            DecodeAggColumnsInto(blob.data(), blob.size(), &scalar_scratch)
+                .ok());
+      }
+      {
+        simd::ScopedLevel pin(simd::IsaLevel::kAvx2);
+        ASSERT_TRUE(
+            DecodeAggColumnsInto(blob.data(), blob.size(), &avx2_scratch)
+                .ok());
+      }
+      ExpectScratchHolds(scalar_scratch, *ref);
+      ExpectScratchHolds(avx2_scratch, *ref);
     }
   }
 }

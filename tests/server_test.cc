@@ -10,7 +10,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <iterator>
+#include <limits>
 #include <memory>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -218,6 +221,59 @@ TEST(WireTest, RowBatchAndHashRoundTrip) {
   std::vector<backend::ResultRow> sink;
   EXPECT_FALSE(
       wire::DecodeRowBatch(bytes.data(), bytes.size() - 1, &sink).ok());
+}
+
+// The row-batch bytes are the protocol: pin them with a golden hash over a
+// seeded batch carrying the awkward values (NaN, -0.0, +-inf, UINT64_MAX
+// counts, UINT32_MAX coords), encoded as a mid-vector sub-range appended
+// after existing bytes. Any encoder rewrite must reproduce it exactly.
+TEST(WireTest, RowBatchBytesMatchGoldenHash) {
+  std::mt19937_64 rng(20261020);
+  const double specials[] = {std::numeric_limits<double>::quiet_NaN(),
+                             -0.0,
+                             0.0,
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::denorm_min(),
+                             -1e308};
+  std::vector<backend::ResultRow> rows;
+  for (uint32_t i = 0; i < 300; ++i) {
+    backend::ResultRow r{};
+    for (uint32_t d = 0; d < storage::kMaxDims; ++d) {
+      r.coords[d] = (i % 17 == d) ? UINT32_MAX : static_cast<uint32_t>(rng());
+    }
+    const auto pick = [&](uint64_t k) {
+      return k % 3 == 0 ? specials[k % std::size(specials)]
+                        : static_cast<double>(static_cast<int64_t>(k)) / 7.0;
+    };
+    r.sum = pick(rng());
+    r.count = i % 5 == 0 ? UINT64_MAX : rng();
+    r.min_v = pick(rng());
+    r.max_v = pick(rng());
+    rows.push_back(r);
+  }
+  std::vector<uint8_t> bytes = {0xAB, 0xCD};  // encoding appends
+  wire::EncodeRowBatch(rows, 7, 250, &bytes);
+  ASSERT_EQ(bytes.size(), 2 + 4 + 250 * wire::kRowBytes);
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (uint8_t b : bytes) h = (h ^ b) * 0x100000001b3ULL;
+  EXPECT_EQ(h, 0x3f30aa46f064270dULL);
+
+  // The decoder inverts it bit for bit, appending after existing rows.
+  std::vector<backend::ResultRow> got(1);
+  ASSERT_TRUE(
+      wire::DecodeRowBatch(bytes.data() + 2, bytes.size() - 2, &got).ok());
+  ASSERT_EQ(got.size(), 251u);
+  got.erase(got.begin());
+  const std::vector<backend::ResultRow> want(rows.begin() + 7,
+                                             rows.begin() + 257);
+  EXPECT_EQ(wire::HashRows(got), wire::HashRows(want));
+  // Every strict prefix is rejected without touching the output rows.
+  for (size_t len = 0; len < bytes.size() - 2; len += 61) {
+    std::vector<backend::ResultRow> sink;
+    EXPECT_FALSE(wire::DecodeRowBatch(bytes.data() + 2, len, &sink).ok());
+    EXPECT_TRUE(sink.empty()) << len;
+  }
 }
 
 TEST(WireTest, ErrorRoundTripsStatusCode) {
