@@ -39,6 +39,9 @@ AdmissionController::Tenant& AdmissionController::GetTenantLocked(
   const std::string base = "server.tenant." + std::to_string(tenant_id);
   tenant->admitted = metrics_->GetCounter(base + ".admitted");
   tenant->shed = metrics_->GetCounter(base + ".shed");
+  tenant->outcomes = {metrics_->GetCounter(base + ".offered"),
+                      metrics_->GetCounter(base + ".ok"),
+                      metrics_->GetCounter(base + ".errors")};
   return *tenants_.emplace(tenant_id, std::move(tenant)).first->second;
 }
 
@@ -69,6 +72,12 @@ AdmitDecision AdmissionController::TryAdmit(uint32_t tenant_id,
   inflight_gauge_->Set(global_inflight_);
   inflight_peak_->SetMax(global_inflight_);
   return AdmitDecision::kAdmitted;
+}
+
+AdmissionController::TenantCounters AdmissionController::CountersFor(
+    uint32_t tenant_id) {
+  std::lock_guard<std::mutex> lock(mu_);
+  return GetTenantLocked(tenant_id).outcomes;
 }
 
 void AdmissionController::Release(uint32_t tenant_id) {

@@ -53,12 +53,24 @@ const char* AdmitDecisionName(AdmitDecision d);
 ///
 /// Metrics (on the registry passed in): server.admission.admitted plus one
 /// server.admission.shed_* counter per reason, an inflight gauge + peak,
-/// and per-tenant server.tenant.<id>.{admitted,shed} counters.
+/// and per-tenant server.tenant.<id>.{admitted,shed,offered,ok,errors}
+/// counters, all registered once, when the tenant is first seen.
 class AdmissionController {
  public:
+  /// A tenant's query-outcome counters, which the serving layer bumps.
+  struct TenantCounters {
+    Counter* offered;
+    Counter* ok;
+    Counter* errors;
+  };
+
   AdmissionController(AdmissionOptions options, MetricsRegistry* metrics);
 
   AdmitDecision TryAdmit(uint32_t tenant_id, uint64_t now_ns);
+
+  /// The tenant's outcome counters; the pointers stay valid for the
+  /// controller's lifetime.
+  TenantCounters CountersFor(uint32_t tenant_id);
 
   /// Releases one admitted query's slot (tenant + global inflight).
   void Release(uint32_t tenant_id);
@@ -79,6 +91,7 @@ class AdmissionController {
     uint32_t inflight = 0;
     Counter* admitted = nullptr;
     Counter* shed = nullptr;
+    TenantCounters outcomes{};
   };
 
   Tenant& GetTenantLocked(uint32_t tenant_id);

@@ -282,6 +282,9 @@ TEST_F(LiveFuzzFixture, OversizedFrameClosedWithoutBufferingIt) {
   ASSERT_TRUE(client->SendRaw(header.data(), header.size()).ok());
   // The server answers one error frame (best-effort) and closes; either
   // way this connection is done and the server has buffered ~nothing.
+  // A ping on it returns only once the server has handled the header, so
+  // the counter read below cannot race the I/O thread.
+  EXPECT_FALSE(client->Ping().ok());
   ExpectStillServing();
   const auto snap = server_->metrics().TakeSnapshot();
   EXPECT_GE(snap.counter("server.frames.bad"), 1u);
